@@ -1,23 +1,19 @@
 //! Schedule-exploration throughput benchmark.
 //!
-//! Headline number: **schedules/sec of the streaming campaign engine vs.
-//! the pre-change Explorer at equal worker count (`jobs = 1`)**. The
-//! baseline row pins the pre-change configuration — OS-thread simulator
-//! backend, single exhaustive strategy, collect-everything retention — so
-//! the speedup column isolates what this change bought: fiber scheduling,
-//! probabilistic dedup, and bounded retention.
+//! Headline number: **schedules/sec of the streaming campaign engine at
+//! one worker (`jobs = 1`)** over the whole test suite of a spawn-heavy
+//! (App-1) and a dedup-heavy (App-7) application, with the default arms.
 //!
 //! Also measured and recorded, because the campaign's claims are about
 //! more than throughput:
 //!
-//! - **memory bound**: the bloom filter's byte size, the retention caps,
-//!   and the process peak RSS (`VmHWM`) before/after the campaign;
+//! - **memory bound**: the bloom filter's byte size, the retention cap,
+//!   and the process peak RSS (`VmHWM`) after the campaigns;
 //! - **replay determinism**: the same `(config, seed)` is run twice and
 //!   the distinct-hash digests must be identical;
-//! - **per-strategy breakdown**: the bandit's per-arm runs/fresh split
-//!   plus the legacy per-strategy table retained from the old benchmark.
+//! - **per-arm breakdown**: the bandit's per-arm runs/fresh split.
 //!
-//! Writes `results/BENCH_explore.json` and prints summary tables.
+//! Writes `results/BENCH_explore.json` and prints a summary table.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,15 +21,11 @@ use std::time::Instant;
 use sherlock_apps::{all_apps, App};
 use sherlock_bench::{cells, TablePrinter};
 use sherlock_obs::json::Json;
-use sherlock_sim::{Campaign, CampaignConfig, ExploreConfig, Explorer, SimBackend, StrategyKind};
+use sherlock_sim::{Campaign, CampaignConfig};
 
 const APPS: [&str; 2] = ["App-1", "App-7"];
-/// Baseline runs are expensive (one OS thread per simulated spawn), so the
-/// sample is small; rates are reported per second regardless.
-const BASELINE_RUNS: u64 = 96;
 const CAMPAIGN_RUNS: u64 = 2048;
 const REPLAY_RUNS: u64 = 512;
-const LEGACY_RUNS_PER_TEST: u64 = 24;
 
 /// The whole test suite run back to back — the campaign's native workload
 /// shape, and what the `explore` verb executes server-side.
@@ -63,81 +55,43 @@ fn main() {
         .filter(|a| APPS.contains(&a.id))
         .collect();
     let wall_start = Instant::now();
-    let t = TablePrinter::new(&[10, 18, 8, 10, 8, 10, 12, 10]);
+    let t = TablePrinter::new(&[10, 8, 10, 8, 10, 12]);
 
-    println!("Exploration benchmark (jobs=1, equal worker count)\n");
+    println!("Exploration benchmark (campaign, jobs=1)\n");
     println!(
         "{}",
         t.row(cells![
             "app",
-            "engine",
             "runs",
             "distinct",
             "dedup%",
             "wall(ms)",
-            "sched/sec",
-            "speedup"
+            "sched/sec"
         ])
     );
     println!("{}", t.rule());
 
     let mut app_rows: Vec<Json> = Vec::new();
-    let mut min_speedup = f64::INFINITY;
     let mut headline_sched_per_sec = 0f64;
     for app in &apps {
         let workload = suite_workload(app);
-
-        // Pre-change equivalent: the Explorer as it shipped before this
-        // change — OS-thread backend, one strategy, jobs=1.
-        let mut ecfg = ExploreConfig::default();
-        ecfg.runs = BASELINE_RUNS;
-        ecfg.jobs = 1;
-        ecfg.strategy = StrategyKind::RandomWalk;
-        ecfg.sim.backend = SimBackend::OsThreads;
-        let start = Instant::now();
-        let baseline = Explorer::new(ecfg).run(Arc::clone(&workload));
-        let baseline_secs = start.elapsed().as_secs_f64().max(1e-9);
-        let baseline_rate = baseline.runs as f64 / baseline_secs;
-        println!(
-            "{}",
-            t.row(cells![
-                app.id,
-                "explorer-os(pre)",
-                baseline.runs,
-                baseline.distinct.len(),
-                format!(
-                    "{:.1}",
-                    100.0 * baseline.dedup_hits as f64 / baseline.runs as f64
-                ),
-                format!("{:.1}", baseline_secs * 1e3),
-                format!("{baseline_rate:.0}"),
-                "1.0x"
-            ])
-        );
-
-        // The streaming campaign at the same worker count.
         let mut ccfg = CampaignConfig::default();
         ccfg.max_schedules = CAMPAIGN_RUNS;
         ccfg.jobs = 1;
-        ccfg.summary_cap = 0;
         ccfg.report_cap = 0;
-        let result = Campaign::new(ccfg).run(Arc::clone(&workload));
+        let result = Campaign::new(ccfg).run(workload);
         let campaign_rate = result.sched_per_sec;
-        let speedup = campaign_rate / baseline_rate;
-        min_speedup = min_speedup.min(speedup);
         headline_sched_per_sec = headline_sched_per_sec.max(campaign_rate);
         let dedup_rate = result.dedup_hits as f64 / result.runs.max(1) as f64;
         println!(
             "{}",
             t.row(cells![
                 app.id,
-                "campaign(fibers)",
                 result.runs,
                 result.distinct,
                 format!("{:.1}", 100.0 * dedup_rate),
                 format!("{:.1}", result.elapsed.as_secs_f64() * 1e3),
-                format!("{campaign_rate:.0}"),
-                format!("{speedup:.1}x")
+                format!("{campaign_rate:.0}")
             ])
         );
 
@@ -154,21 +108,6 @@ fn main() {
             .collect();
         app_rows.push(Json::Obj(vec![
             ("app".to_string(), Json::from(app.id)),
-            (
-                "baseline".to_string(),
-                Json::Obj(vec![
-                    (
-                        "engine".to_string(),
-                        Json::from("explorer-os-threads-prechange"),
-                    ),
-                    ("runs".to_string(), Json::from(baseline.runs)),
-                    (
-                        "distinct".to_string(),
-                        Json::from(baseline.distinct.len() as u64),
-                    ),
-                    ("runs_per_sec".to_string(), Json::Num(baseline_rate)),
-                ]),
-            ),
             (
                 "campaign".to_string(),
                 Json::Obj(vec![
@@ -190,7 +129,6 @@ fn main() {
                     ("arms".to_string(), Json::Arr(arms)),
                 ]),
             ),
-            ("speedup".to_string(), Json::Num(speedup)),
         ]));
     }
     println!("{}", t.rule());
@@ -202,7 +140,6 @@ fn main() {
         ccfg.max_schedules = REPLAY_RUNS;
         ccfg.base_seed = seed;
         ccfg.jobs = 1;
-        ccfg.summary_cap = 0;
         ccfg.report_cap = 0;
         Campaign::new(ccfg).run(suite_workload(replay_app))
     };
@@ -223,80 +160,22 @@ fn main() {
     let peak_rss = peak_rss_bytes();
     if let Some(rss) = peak_rss {
         println!(
-            "memory: filter {} KiB, caps summary=0 report=0, peak RSS {} MiB",
+            "memory: filter {} KiB, report cap 0, peak RSS {} MiB",
             ra.filter_bytes / 1024,
             rss / (1024 * 1024)
         );
     }
 
-    // Legacy per-strategy table (fixed-run Explorer per test), kept for
-    // continuity with earlier result files.
-    let strategies = [
-        StrategyKind::RandomWalk,
-        StrategyKind::Pct { depth: 3 },
-        StrategyKind::RoundRobin { quantum: 4 },
-    ];
-    let lt = TablePrinter::new(&[10, 10, 8, 10, 12, 14]);
-    println!("\nPer-strategy Explorer ({LEGACY_RUNS_PER_TEST} runs per test, fibers)\n");
-    println!(
-        "{}",
-        lt.row(cells![
-            "app", "strategy", "runs", "distinct", "wall(ms)", "runs/sec"
-        ])
-    );
-    println!("{}", lt.rule());
-    let mut strategy_rows: Vec<Json> = Vec::new();
-    for app in &apps {
-        for strategy in strategies {
-            let start = Instant::now();
-            let mut runs = 0u64;
-            let mut distinct = 0u64;
-            for (i, test) in app.tests.iter().enumerate() {
-                let mut ecfg = ExploreConfig::default();
-                ecfg.runs = LEGACY_RUNS_PER_TEST;
-                ecfg.base_seed = (i as u64) << 32;
-                ecfg.strategy = strategy;
-                let result = Explorer::new(ecfg).run(test.body());
-                runs += result.runs;
-                distinct += result.distinct.len() as u64;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            println!(
-                "{}",
-                lt.row(cells![
-                    app.id,
-                    strategy.name(),
-                    runs,
-                    distinct,
-                    format!("{:.1}", secs * 1e3),
-                    format!("{:.0}", runs as f64 / secs)
-                ])
-            );
-            strategy_rows.push(Json::Obj(vec![
-                ("app".to_string(), Json::from(app.id)),
-                ("strategy".to_string(), Json::from(strategy.name())),
-                ("runs".to_string(), Json::from(runs)),
-                ("distinct".to_string(), Json::from(distinct)),
-                ("runs_per_sec".to_string(), Json::Num(runs as f64 / secs)),
-            ]));
-        }
-    }
-    println!("{}", lt.rule());
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
     let mut doc = vec![
         ("benchmark".to_string(), Json::from("explore")),
         ("jobs".to_string(), Json::from(1u64)),
         ("campaign_runs".to_string(), Json::from(CAMPAIGN_RUNS)),
-        ("baseline_runs".to_string(), Json::from(BASELINE_RUNS)),
         ("wall_ns".to_string(), Json::from(wall_ns)),
         (
             "headline_sched_per_sec".to_string(),
             Json::Num(headline_sched_per_sec),
-        ),
-        (
-            "min_speedup_vs_prechange".to_string(),
-            Json::Num(min_speedup),
         ),
         ("apps".to_string(), Json::Arr(app_rows)),
         ("replay_identical".to_string(), Json::Bool(replay_identical)),
@@ -311,7 +190,6 @@ fn main() {
                     "filter_bytes".to_string(),
                     Json::from(ra.filter_bytes as u64),
                 ),
-                ("summary_cap".to_string(), Json::from(0u64)),
                 ("report_cap".to_string(), Json::from(0u64)),
                 (
                     "peak_rss_bytes".to_string(),
@@ -319,7 +197,6 @@ fn main() {
                 ),
             ]),
         ),
-        ("per_strategy".to_string(), Json::Arr(strategy_rows)),
         ("telemetry".to_string(), sherlock_obs::snapshot().to_json()),
     ];
     doc.retain(|(_, v)| !matches!(v, Json::Null));
@@ -327,7 +204,7 @@ fn main() {
     let path = sherlock_bench::results_path("BENCH_explore.json");
     std::fs::write(&path, Json::Obj(doc).render_pretty()).expect("write BENCH_explore.json");
     println!(
-        "\ntotal {:.1} ms wall, min speedup vs pre-change explorer: {min_speedup:.1}x",
+        "\ntotal {:.1} ms wall, headline {headline_sched_per_sec:.0} sched/s",
         wall_ns as f64 / 1e6
     );
     println!("wrote {}", path.display());

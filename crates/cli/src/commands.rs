@@ -9,9 +9,7 @@ use sherlock_core::{Session, SherLock, SherLockConfig};
 use sherlock_fleet::{generate_fleet, score_fleet, GrammarConfig};
 use sherlock_obs::json::Json;
 use sherlock_racer::{detect, differential, first_race, SyncSpec};
-use sherlock_sim::{
-    Campaign, CampaignConfig, CampaignProgress, ExploreConfig, Explorer, SimConfig, StrategyKind,
-};
+use sherlock_sim::{Campaign, CampaignConfig, CampaignProgress, SimConfig, StrategyKind};
 use sherlock_trace::{windows, Time, Trace};
 
 type Flags = BTreeMap<String, String>;
@@ -363,34 +361,38 @@ pub fn explore(positional: &[String], flags: &Flags) -> Result<(), String> {
         strategy.name()
     );
 
-    // Distribute the run budget round-robin over the test suite; each test's
-    // campaign gets a disjoint seed block so schedules never reuse a seed.
+    // Distribute the run budget round-robin over the test suite; each test
+    // gets a one-arm campaign over a disjoint seed block, so schedules never
+    // reuse a seed.
     let num_tests = app.tests.len().max(1) as u64;
     let mut distinct_reports = Vec::new();
     let mut total_runs = 0u64;
     let mut racy_schedules = 0usize;
     let mut racy_windows = 0usize;
-    let mut deadlocks = 0usize;
-    let mut panics = 0usize;
+    let mut deadlocks = 0u64;
+    let mut panics = 0u64;
     let mut per_test_json = Vec::new();
     for (t, test) in app.tests.iter().enumerate() {
         let test_runs = runs / num_tests + u64::from((t as u64) < runs % num_tests);
         if test_runs == 0 {
             continue;
         }
-        let mut ecfg = ExploreConfig::default();
-        ecfg.runs = test_runs;
-        ecfg.base_seed = base_seed.wrapping_add((t as u64) << 32);
-        ecfg.strategy = strategy;
-        ecfg.jobs = jobs;
-        ecfg.sim.instrument = cfg.instrument.clone();
-        let result = Explorer::new(ecfg).run(test.body());
-        total_runs += result.runs();
+        let mut ccfg = CampaignConfig {
+            max_schedules: test_runs,
+            base_seed: base_seed.wrapping_add((t as u64) << 32),
+            jobs,
+            arms: vec![strategy],
+            report_cap: usize::MAX,
+            ..CampaignConfig::default()
+        };
+        ccfg.sim.instrument = cfg.instrument.clone();
+        let result = Campaign::new(ccfg).run(test.body());
+        total_runs += result.runs;
 
         let mut test_racy = 0usize;
         let mut test_windows = 0usize;
         let mut hashes = Vec::new();
-        for report in &result.distinct {
+        for report in &result.reports {
             let seeded_race = detect(&report.trace, &ground)
                 .iter()
                 .any(|r| app.truth.is_true_race(&r.location));
@@ -405,22 +407,19 @@ pub fn explore(positional: &[String], flags: &Flags) -> Result<(), String> {
         }
         racy_schedules += test_racy;
         racy_windows += test_windows;
-        deadlocks += result.deadlocks();
-        panics += result.panics();
+        deadlocks += result.deadlocks;
+        panics += result.panics;
         println!(
             "  {:40} {:>4} runs, {:>3} distinct, {:>2} with a seeded race",
             test.name(),
-            result.runs(),
-            result.distinct.len(),
+            result.runs,
+            result.distinct,
             test_racy
         );
         per_test_json.push(Json::Obj(vec![
             ("test".to_string(), Json::Str(test.name().to_string())),
-            ("runs".to_string(), Json::from(result.runs())),
-            (
-                "distinct".to_string(),
-                Json::from(result.distinct.len() as u64),
-            ),
+            ("runs".to_string(), Json::from(result.runs)),
+            ("distinct".to_string(), Json::from(result.distinct)),
             ("seeded_racy".to_string(), Json::from(test_racy as u64)),
             (
                 "hashes".to_string(),
@@ -432,7 +431,7 @@ pub fn explore(positional: &[String], flags: &Flags) -> Result<(), String> {
                 ),
             ),
         ]));
-        distinct_reports.extend(result.distinct);
+        distinct_reports.extend(result.reports);
     }
     println!(
         "{} run(s): {} distinct schedule(s), {} with a seeded race, {} racy window(s), {} deadlock(s), {} panic schedule(s)",
@@ -453,11 +452,10 @@ pub fn explore(positional: &[String], flags: &Flags) -> Result<(), String> {
         let mut sl = SherLock::new(cfg);
         sl.run_rounds(&app.tests, rounds)
             .map_err(|e| format!("solver failed: {e}"))?;
-        for report in &distinct_reports {
-            sl.absorb_trace(&report.trace);
-        }
+        let mut session = sl.into_session();
+        session.absorb_traces(distinct_reports.iter().map(|r| &r.trace));
         let inferred =
-            SyncSpec::from_report(sl.resolve().map_err(|e| format!("solver failed: {e}"))?);
+            SyncSpec::from_report(session.solve().map_err(|e| format!("solver failed: {e}"))?);
         let traces: Vec<&Trace> = distinct_reports.iter().map(|r| &r.trace).collect();
         let diff = differential(&traces, &ground, &inferred, &app.truth.race_locations);
         print!("{}", diff.render());
@@ -507,8 +505,8 @@ pub fn explore(positional: &[String], flags: &Flags) -> Result<(), String> {
                 Json::from(racy_schedules as u64),
             ),
             ("racy_windows".to_string(), Json::from(racy_windows as u64)),
-            ("deadlocks".to_string(), Json::from(deadlocks as u64)),
-            ("panic_schedules".to_string(), Json::from(panics as u64)),
+            ("deadlocks".to_string(), Json::from(deadlocks)),
+            ("panic_schedules".to_string(), Json::from(panics)),
             ("tests".to_string(), Json::Arr(per_test_json)),
             ("oracle".to_string(), oracle_json),
             ("telemetry".to_string(), delta.to_json()),

@@ -74,6 +74,12 @@ impl SherLock {
         &self.session
     }
 
+    /// Ends the driver and hands back its session, e.g. to absorb traces
+    /// produced outside the driver (explored schedules) and re-solve.
+    pub fn into_session(self) -> Session {
+        self.session
+    }
+
     /// Per-round diagnostics.
     pub fn stats(&self) -> &[RoundStats] {
         &self.stats
@@ -151,31 +157,6 @@ impl SherLock {
         );
         self.stats.push(stats);
         drop(_round);
-        self.session.refresh_telemetry();
-        Ok(self.session.report())
-    }
-
-    /// Feeds one externally produced trace (e.g. an explored schedule from
-    /// `sherlock-sim`'s Explorer) into the session's observations — exactly
-    /// the Observer path of [`run_round`](Self::run_round), minus running a
-    /// test. Call [`resolve`](Self::resolve) afterwards to fold the new
-    /// evidence into the report.
-    pub fn absorb_trace(&mut self, trace: &sherlock_trace::Trace) -> RoundStats {
-        let _s = obs::span("driver.absorb_trace");
-        obs::counter!("driver.traces_absorbed").incr();
-        self.session.absorb_trace(trace)
-    }
-
-    /// Re-solves over the accumulated observations without running any test
-    /// — the companion of [`absorb_trace`](Self::absorb_trace). Memoized:
-    /// when nothing was absorbed since the last solve the cached report is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LpError`] from the Solver.
-    pub fn resolve(&mut self) -> Result<&InferenceReport, LpError> {
-        self.session.solve()?;
         self.session.refresh_telemetry();
         Ok(self.session.report())
     }

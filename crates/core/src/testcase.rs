@@ -44,7 +44,7 @@ impl TestCase {
     }
 
     /// A shared handle to the test body, for harnesses that drive their own
-    /// simulators (the schedule Explorer fans one body across many kernels).
+    /// simulators (a schedule campaign fans one body across many kernels).
     pub fn body(&self) -> Arc<dyn Fn() + Send + Sync + 'static> {
         Arc::clone(&self.body)
     }

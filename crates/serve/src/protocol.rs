@@ -26,7 +26,9 @@
 //! explicit: when the server's bounded queue is full the response is
 //! `{"id": ..., "ok": false, "error": "busy", "busy": true}` and the client
 //! should retry. A malformed line yields a structured error response with
-//! `"id": null` — it never kills the connection.
+//! `"id": null` — it never kills the connection. The one exception is a
+//! line longer than the store's 64 MiB record cap: it gets the same error
+//! shape, and then the server closes that connection.
 
 use sherlock_obs::json::Json;
 use sherlock_trace::{json as trace_json, Trace};

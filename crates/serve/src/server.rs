@@ -35,7 +35,7 @@
 //! responsive under full queues.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -48,6 +48,7 @@ use sherlock_core::SherLockConfig;
 use sherlock_obs as obs;
 use sherlock_obs::json::Json;
 use sherlock_racer::{detect, differential, SyncSpec};
+use sherlock_store::framing::MAX_RECORD_LEN;
 use sherlock_store::{SessionHandle, SessionStore, StoreOptions};
 
 use sherlock_sim::{Campaign, CampaignConfig, CampaignProgress};
@@ -549,20 +550,42 @@ fn mailbox(shared: &Shared, key: &str) -> Arc<Mailbox> {
 /// Reader half of one connection: parse lines, answer
 /// `stats`/`metrics`/`shutdown` inline, admit everything else into the
 /// target session's mailbox.
+///
+/// A request line may carry at most [`MAX_RECORD_LEN`] bytes before its
+/// newline — the store's record cap, so the reader's buffer stays bounded
+/// whatever the client sends. A longer line gets a structured error and
+/// closes the connection.
 fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
     // One trace id per connection: every request on the connection shares
     // it and is distinguished by `seq`, so a pipelined client burst
     // reconstructs as one trace of ordered requests.
     let trace_id = obs::mint_trace_id();
     let mut reader = BufReader::new(stream);
+    let limit = u64::from(MAX_RECORD_LEN) + 1;
     let mut seq = 0u64;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        if buf.len() as u64 == limit && buf.last() != Some(&b'\n') {
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            obs::counter!("serve.protocol_errors").incr();
+            let msg = format!("request line exceeds {MAX_RECORD_LEN} bytes; closing connection");
+            conn.send(seq, error_response(&Json::Null, &msg), shared);
+            let s = conn
+                .stream
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _ = s.shutdown(std::net::Shutdown::Both);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;

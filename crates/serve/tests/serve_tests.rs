@@ -103,6 +103,47 @@ fn malformed_lines_get_structured_errors_and_never_kill_the_connection() {
 }
 
 #[test]
+fn oversized_line_gets_a_structured_error_and_closes_only_its_connection() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = spawn(small_config()).expect("spawn");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // One byte past the cap, and no newline: the reader must stop buffering.
+    let len = sherlock_store::framing::MAX_RECORD_LEN as usize + 1;
+    stream
+        .write_all(&vec![b'x'; len])
+        .expect("send oversized line");
+
+    // A daemon that kept buffering would never answer: fail, don't hang.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set read timeout");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    let doc = Json::parse(line.trim()).expect("response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(doc.get("id"), Some(&Json::Null));
+    let error = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("exceeds"), "unexpected error: {error}");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).ok(),
+        Some(0),
+        "connection closed"
+    );
+
+    // The daemon itself is unaffected.
+    let mut client = Client::connect(server.addr()).expect("fresh connect");
+    assert!(client.call("ping", "default", vec![]).unwrap().ok);
+
+    server.shutdown();
+    let summary = server.join();
+    assert_eq!(summary.protocol_errors, 1);
+    assert_eq!(summary.requests, summary.responses);
+}
+
+#[test]
 fn full_queue_yields_explicit_busy_and_order_is_preserved() {
     let mut cfg = small_config();
     cfg.workers = 1;

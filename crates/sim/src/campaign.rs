@@ -1,12 +1,17 @@
-//! Novelty-guided streaming schedule campaigns.
+//! Streaming schedule campaigns: the one schedule-exploration engine.
 //!
-//! The [`Explorer`](crate::Explorer) answers "run this workload under N
-//! seeds of one strategy". A [`Campaign`] answers the question that matters
-//! at millions of schedules: *which* strategy should get the next seed? It
-//! runs a bandit over (strategy, depth) **arms** — e.g. random walk, PCT at
-//! several depths, round-robin — and steers the run budget toward arms whose
-//! recent traces were *fresh* (new to the dedup filter), because an arm that
-//! keeps rediscovering old interleavings is wasted budget.
+//! One simulated run replays exactly one interleaving per `(workload, seed)`.
+//! A [`Campaign`] fans a workload out across many seeds — one kernel per
+//! seed, spread over a pool of OS worker threads — and deduplicates the
+//! outcomes by [`Trace::stable_hash`] through a compact [`ScheduleFilter`],
+//! so "how many *distinct* schedules did we cover" is a first-class number.
+//! It runs a bandit over (strategy, depth) **arms** — e.g. random walk, PCT
+//! at several depths, round-robin — and steers the run budget toward arms
+//! whose recent traces were *fresh* (new to the dedup filter), because an
+//! arm that keeps rediscovering old interleavings is wasted budget. A
+//! campaign with a single arm is plain fixed-strategy exploration: every run
+//! goes to that arm, and `sherlock explore` runs one such campaign per unit
+//! test.
 //!
 //! # Determinism
 //!
@@ -18,10 +23,10 @@
 //!   RNG, ties broken by arm index);
 //! * run `r` (globally, across the whole campaign) always uses seed
 //!   `base_seed + r` regardless of which worker executes it;
-//! * workers race, but a reorder buffer commits reports in run order, so
-//!   filter state, arm credit, and the [`CampaignResult::distinct_digest`]
-//!   are identical for any worker count. Wall-clock timing is measured but
-//!   never fed back into scheduling.
+//! * workers race, but reports are committed in run order, so filter state,
+//!   arm credit, and the [`CampaignResult::distinct_digest`] are identical
+//!   for any worker count. Wall-clock timing is measured but never fed back
+//!   into scheduling.
 //!
 //! Replaying a campaign from the same `(config, seed)` therefore yields the
 //! identical distinct-hash set — the property the determinism tests and the
@@ -36,10 +41,13 @@
 //! smoothing guarantees every arm a nonzero weight). After each batch both
 //! counters are halved (integer EMA with a one-batch half-life).
 //!
-//! Memory is O(filter + caps): per-run summaries and retained distinct
-//! reports default to small caps, and the distinct-hash list is kept only
-//! when [`CampaignConfig::retain_hashes`] asks for it — otherwise a running
-//! FNV-1a digest stands in for the set.
+//! Memory is O(filter + [`CampaignConfig::report_cap`]): the filter trades
+//! exactness for space (a false positive makes a genuinely new schedule
+//! count as a duplicate, at the rate reported in
+//! [`CampaignResult::est_fp_rate`]), and a running FNV-1a digest stands in
+//! for the distinct-hash set.
+//!
+//! [`Trace::stable_hash`]: sherlock_trace::Trace::stable_hash
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
@@ -49,7 +57,6 @@ use std::time::{Duration, Instant};
 use sherlock_obs::{counter, counter_named, histogram};
 
 use crate::config::SimConfig;
-use crate::explore::ScheduleSummary;
 use crate::filter::ScheduleFilter;
 use crate::kernel::{Outcome, RunReport, Sim};
 use crate::strategy::StrategyKind;
@@ -95,15 +102,9 @@ pub struct CampaignConfig {
     pub arms: Vec<StrategyKind>,
     /// log2 of dedup-filter bits; `None` auto-sizes from `max_schedules`.
     pub filter_bits: Option<u32>,
-    /// Per-run summaries retained (first N). Campaigns default to 0 —
-    /// summaries are an Explorer-compat affordance, not a streaming one.
-    pub summary_cap: usize,
-    /// Distinct [`RunReport`]s retained (first N in first-seen order).
+    /// Distinct [`RunReport`]s retained (first N in first-seen order);
+    /// `usize::MAX` keeps every distinct schedule.
     pub report_cap: usize,
-    /// Keep every distinct hash in [`CampaignResult::distinct_hashes`].
-    /// Costs 8 bytes/distinct; off by default (the digest alone identifies
-    /// the set for replay comparison).
-    pub retain_hashes: bool,
     /// Template for each run's [`SimConfig`] (seed/strategy overwritten).
     pub sim: SimConfig,
 }
@@ -117,9 +118,7 @@ impl Default for CampaignConfig {
             batch: 64,
             arms: default_arms(),
             filter_bits: None,
-            summary_cap: 0,
             report_cap: 16,
-            retain_hashes: false,
             sim: SimConfig::default(),
         }
     }
@@ -196,13 +195,9 @@ pub struct CampaignResult {
     /// FNV-1a digest of the distinct hashes in commit order — two campaigns
     /// discovered the same distinct sequence iff digests match.
     pub distinct_digest: u64,
-    /// Every distinct hash in commit order (only when
-    /// [`CampaignConfig::retain_hashes`] was set).
-    pub distinct_hashes: Vec<u64>,
-    /// First [`CampaignConfig::report_cap`] distinct reports.
+    /// First [`CampaignConfig::report_cap`] distinct reports, in commit
+    /// order.
     pub reports: Vec<RunReport>,
-    /// First [`CampaignConfig::summary_cap`] per-run summaries.
-    pub summaries: Vec<ScheduleSummary>,
     /// Per-arm totals, in arm order.
     pub arms: Vec<ArmReport>,
     /// Wall-clock duration of the campaign.
@@ -338,7 +333,6 @@ impl Campaign {
 
             // Commit in run order: filter, arm credit, digest, retention.
             for (offset, report) in reports.into_iter().enumerate() {
-                let run_index = global_run + offset as u64;
                 let arm_idx = plan[offset];
                 let hash = report.trace.stable_hash();
                 let is_new = filter.insert(hash);
@@ -346,26 +340,12 @@ impl Campaign {
                 arm.runs += 1;
                 arm.recent_runs += 1;
                 result.runs += 1;
-                if result.summaries.len() < cfg.summary_cap {
-                    result.summaries.push(ScheduleSummary {
-                        run_index,
-                        seed: cfg.base_seed.wrapping_add(run_index),
-                        trace_hash: hash,
-                        steps: report.steps,
-                        events: report.trace.len(),
-                        deadlocked: matches!(report.outcome, Outcome::Deadlock(_)),
-                        panicked: !report.panics.is_empty(),
-                    });
-                }
                 if is_new {
                     arm.fresh += 1;
                     arm.recent_fresh += 1;
                     arm_counters[arm_idx].1.incr();
                     result.distinct += 1;
                     result.distinct_digest = fnv1a64(result.distinct_digest, hash);
-                    if cfg.retain_hashes {
-                        result.distinct_hashes.push(hash);
-                    }
                     if matches!(report.outcome, Outcome::Deadlock(_)) {
                         result.deadlocks += 1;
                     }
@@ -499,6 +479,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::prims::TracedVar;
+    use sherlock_trace::Time;
 
     fn workload() -> Arc<dyn Fn() + Send + Sync> {
         Arc::new(|| {
@@ -520,8 +501,25 @@ mod tests {
         cfg.jobs = jobs;
         cfg.batch = 16;
         cfg.base_seed = 7;
-        cfg.retain_hashes = true;
+        cfg.report_cap = usize::MAX;
         cfg
+    }
+
+    /// A single-arm campaign: fixed-strategy exploration.
+    fn one_arm(max: u64, jobs: usize, strategy: StrategyKind) -> CampaignConfig {
+        CampaignConfig {
+            arms: vec![strategy],
+            ..config(max, jobs)
+        }
+    }
+
+    /// Stable hashes of the retained distinct reports, in commit order.
+    fn hashes(result: &CampaignResult) -> Vec<u64> {
+        result
+            .reports
+            .iter()
+            .map(|r| r.trace.stable_hash())
+            .collect()
     }
 
     #[test]
@@ -543,7 +541,7 @@ mod tests {
         let serial = Campaign::new(config(64, 1)).run(workload());
         let parallel = Campaign::new(config(64, 4)).run(workload());
         assert_eq!(serial.runs, 64);
-        assert_eq!(serial.distinct_hashes, parallel.distinct_hashes);
+        assert_eq!(hashes(&serial), hashes(&parallel));
         assert_eq!(serial.distinct_digest, parallel.distinct_digest);
         assert_eq!(serial.distinct, parallel.distinct);
         assert_eq!(serial.dedup_hits, parallel.dedup_hits);
@@ -561,7 +559,78 @@ mod tests {
         let a = Campaign::new(config(48, 2)).run(workload());
         let b = Campaign::new(config(48, 2)).run(workload());
         assert_eq!(a.distinct_digest, b.distinct_digest);
-        assert_eq!(a.distinct_hashes, b.distinct_hashes);
+        assert_eq!(hashes(&a), hashes(&b));
+    }
+
+    /// The one-arm contract `sherlock explore` relies on: the retained
+    /// reports are exactly the first-seen schedules of running
+    /// `Sim { seed: base_seed + r, strategy }` for `r = 0, 1, …` in order.
+    #[test]
+    fn one_arm_campaign_retains_first_seen_schedules_of_each_seed() {
+        for strategy in [
+            StrategyKind::RandomWalk,
+            StrategyKind::Pct { depth: 3 },
+            StrategyKind::RoundRobin { quantum: 2 },
+        ] {
+            let cfg = one_arm(40, 3, strategy);
+            let result = Campaign::new(cfg.clone()).run(workload());
+            let mut seen = std::collections::HashSet::new();
+            let mut expected = Vec::new();
+            for r in 0..cfg.max_schedules {
+                let w = workload();
+                let report = Sim::new(SimConfig {
+                    seed: cfg.base_seed + r,
+                    strategy,
+                    ..SimConfig::default()
+                })
+                .run(move || w());
+                if seen.insert(report.trace.stable_hash()) {
+                    expected.push(report);
+                }
+            }
+            let render = |reports: &[RunReport]| -> Vec<(String, u64, Outcome)> {
+                reports
+                    .iter()
+                    .map(|r| {
+                        let trace = sherlock_trace::json::to_json(&r.trace);
+                        (trace, r.steps, r.outcome.clone())
+                    })
+                    .collect()
+            };
+            let label = strategy.name();
+            assert_eq!(render(&result.reports), render(&expected), "{label}");
+            assert_eq!(result.distinct, expected.len() as u64, "{label}");
+            assert_eq!(result.dedup_hits, 40 - expected.len() as u64, "{label}");
+            assert_eq!(result.arms[0].runs, 40, "{label}: one arm runs every seed");
+        }
+    }
+
+    #[test]
+    fn single_threaded_workload_dedups_to_one_schedule() {
+        // A single-threaded workload: every interleaving is identical.
+        let one_thread: Arc<dyn Fn() + Send + Sync> = Arc::new(|| {
+            let v = TracedVar::new("Campaign", "solo", 0u32);
+            v.set(1);
+            let _ = v.get();
+        });
+        let result = Campaign::new(one_arm(8, 2, StrategyKind::RandomWalk)).run(one_thread);
+        assert_eq!(result.runs, 8);
+        assert_eq!(result.distinct, 1, "single-threaded runs must dedup");
+        assert_eq!(result.reports.len(), 1);
+        assert_eq!(result.dedup_hits, 7);
+    }
+
+    #[test]
+    fn deadlocked_runs_are_counted() {
+        let mut cfg = one_arm(2, 1, StrategyKind::RandomWalk);
+        cfg.sim.idle_timeout = Time::from_millis(1);
+        let blocked: Arc<dyn Fn() + Send + Sync> = Arc::new(|| {
+            let ev = crate::prims::EventWaitHandle::new(false);
+            ev.wait_one();
+        });
+        let result = Campaign::new(cfg).run(blocked);
+        assert_eq!(result.deadlocks, 1, "deadlock dedups to one schedule");
+        assert!(matches!(result.reports[0].outcome, Outcome::Deadlock(_)));
     }
 
     #[test]
@@ -580,19 +649,22 @@ mod tests {
     }
 
     #[test]
-    fn retention_and_filter_stats_are_bounded() {
-        let mut cfg = config(64, 2);
-        cfg.report_cap = 3;
-        cfg.summary_cap = 5;
-        cfg.retain_hashes = false;
-        let result = Campaign::new(cfg).run(workload());
-        assert_eq!(result.runs, 64);
-        assert!(result.reports.len() <= 3);
-        assert_eq!(result.summaries.len(), 5);
-        assert!(result.distinct_hashes.is_empty(), "hashes not retained");
-        assert!(result.distinct > 0);
-        assert!(result.filter_bytes > 0);
-        assert!(result.filter_occupancy > 0.0);
+    fn retention_caps_bound_memory_without_losing_counts() {
+        let uncapped = Campaign::new(config(64, 2)).run(workload());
+        for cap in [3, 0] {
+            let mut cfg = config(64, 2);
+            cfg.report_cap = cap;
+            let result = Campaign::new(cfg).run(workload());
+            assert_eq!(result.runs, 64);
+            assert!(result.reports.len() <= cap);
+            // Counts and the distinct sequence are unaffected by retention.
+            assert_eq!(result.distinct, uncapped.distinct);
+            assert_eq!(result.distinct_digest, uncapped.distinct_digest);
+            assert_eq!(result.dedup_hits, uncapped.dedup_hits);
+            assert!(result.filter_bytes > 0);
+            assert!(result.filter_occupancy > 0.0);
+            assert!(result.est_fp_rate < 1e-3);
+        }
     }
 
     #[test]

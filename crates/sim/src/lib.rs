@@ -41,7 +41,6 @@
 pub mod api;
 pub mod campaign;
 mod config;
-pub mod explore;
 mod fiber;
 pub mod filter;
 mod hook;
@@ -55,7 +54,6 @@ pub use campaign::{
     arm_label, default_arms, ArmReport, Campaign, CampaignConfig, CampaignProgress, CampaignResult,
 };
 pub use config::{DelayPlan, InstrumentConfig, SimBackend, SimConfig};
-pub use explore::{ExploreConfig, ExploreResult, Explorer, ScheduleSummary};
 pub use hook::install_sim_panic_hook;
 pub use kernel::{Outcome, PanicReport, RunReport, Sim};
 pub use strategy::{Strategy, StrategyKind};

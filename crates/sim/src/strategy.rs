@@ -7,10 +7,10 @@
 //! (probabilistic concurrency testing: random thread priorities with `d − 1`
 //! priority-change points, Burckhardt et al., ASPLOS 2010) and
 //! [`RoundRobin`] (a bounded quantum sweep). Which schedules the Observer
-//! sees bounds what SherLock can infer, so the schedule [`Explorer`]
-//! (`crate::explore`) fans a workload out across seeds and strategies.
+//! sees bounds what SherLock can infer, so a schedule [`Campaign`] fans a
+//! workload out across seeds and strategies.
 //!
-//! [`Explorer`]: crate::explore::Explorer
+//! [`Campaign`]: crate::campaign::Campaign
 
 use crate::rng::SplitMix64;
 

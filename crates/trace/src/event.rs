@@ -139,13 +139,13 @@ impl Trace {
     /// Operations are hashed by their *resolved* static names rather than
     /// their raw [`OpId`]s: interning order is process-global and depends on
     /// which workload ran first, so raw ids would make equal schedules hash
-    /// differently across processes and across parallel explorer workers.
+    /// differently across processes and across parallel campaign workers.
     /// Timestamps are deliberately excluded — per-operation cost jitter is a
     /// function of the seed, so including the clock would make every seed
     /// look like a new schedule. Two traces hash equally iff they interleave
     /// the same operations on the same threads/objects in the same order
-    /// (with the same delay placements) — the identity the schedule Explorer
-    /// deduplicates on.
+    /// (with the same delay placements) — the identity schedule campaigns
+    /// deduplicate on.
     pub fn stable_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

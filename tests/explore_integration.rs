@@ -2,12 +2,24 @@
 //! schedule coverage over a single random-walk run, and exploration must be
 //! deterministic — the same campaign yields the same distinct-schedule set
 //! regardless of how many worker threads fan it out.
+//!
+//! `explore-App-1-pct.txt` under `tests/golden/` pins the per-test distinct
+//! schedules of the canary exploration. Regenerate it only after an
+//! *intentional* exploration change, with
+//!
+//! ```text
+//! SHERLOCK_BLESS=1 cargo test -q --test explore_integration
+//! ```
 
 use std::collections::BTreeSet;
+use std::fmt::Write;
+use std::fs;
+use std::path::Path;
 
 use sherlock_apps::{all_apps, App};
+use sherlock_core::TestCase;
 use sherlock_racer::detect;
-use sherlock_sim::{ExploreConfig, Explorer, StrategyKind};
+use sherlock_sim::{Campaign, CampaignConfig, RunReport, StrategyKind};
 
 const CANARY: &str = "App-1";
 const PCT_RUNS: u64 = 24;
@@ -19,6 +31,35 @@ fn canary() -> App {
         .expect("canary app exists")
 }
 
+/// Explores unit test `t` of a suite with a one-arm `strategy` campaign and
+/// returns the first report of every distinct schedule, in first-seen order.
+/// Same per-test seed-block layout as `sherlock explore`.
+fn explore_test(
+    t: usize,
+    test: &TestCase,
+    strategy: StrategyKind,
+    runs: u64,
+    jobs: usize,
+) -> Vec<RunReport> {
+    let cfg = CampaignConfig {
+        max_schedules: runs,
+        base_seed: (t as u64) << 32,
+        jobs,
+        arms: vec![strategy],
+        report_cap: usize::MAX,
+        ..CampaignConfig::default()
+    };
+    Campaign::new(cfg).run(test.body()).reports
+}
+
+/// Whether FastTrack (under the ground-truth spec) reports a seeded race in
+/// `report`'s trace.
+fn has_seeded_race(app: &App, report: &RunReport) -> bool {
+    detect(&report.trace, &app.truth.full_spec())
+        .iter()
+        .any(|r| app.truth.is_true_race(&r.location))
+}
+
 /// Runs one exploration campaign per unit test and returns the stable
 /// hashes of every distinct schedule in which FastTrack (under the
 /// ground-truth spec) reports a seeded race.
@@ -28,21 +69,10 @@ fn racy_schedule_hashes(
     runs: u64,
     jobs: usize,
 ) -> BTreeSet<u64> {
-    let ground = app.truth.full_spec();
     let mut racy = BTreeSet::new();
     for (t, test) in app.tests.iter().enumerate() {
-        let mut ecfg = ExploreConfig::default();
-        ecfg.runs = runs;
-        // Same per-test seed-block layout as `sherlock explore`.
-        ecfg.base_seed = (t as u64) << 32;
-        ecfg.strategy = strategy;
-        ecfg.jobs = jobs;
-        let result = Explorer::new(ecfg).run(test.body());
-        for report in &result.distinct {
-            let seeded = detect(&report.trace, &ground)
-                .iter()
-                .any(|r| app.truth.is_true_race(&r.location));
-            if seeded {
+        for report in explore_test(t, test, strategy, runs, jobs) {
+            if has_seeded_race(app, &report) {
                 racy.insert(report.trace.stable_hash());
             }
         }
@@ -96,12 +126,8 @@ fn every_strategy_expands_schedule_coverage() {
     ] {
         let mut distinct = BTreeSet::new();
         for (t, test) in app.tests.iter().enumerate() {
-            let mut ecfg = ExploreConfig::default();
-            ecfg.runs = 8;
-            ecfg.base_seed = (t as u64) << 32;
-            ecfg.strategy = strategy;
-            let result = Explorer::new(ecfg).run(test.body());
-            distinct.extend(result.distinct_hashes());
+            let reports = explore_test(t, test, strategy, 8, 0);
+            distinct.extend(reports.iter().map(|r| r.trace.stable_hash()));
         }
         assert!(
             distinct.len() > 1,
@@ -110,4 +136,44 @@ fn every_strategy_expands_schedule_coverage() {
             distinct.len()
         );
     }
+}
+
+/// The canary's PCT exploration is byte-stable across engine changes: per
+/// unit test, the distinct schedule hashes in first-seen order (each marked
+/// when it carries a seeded race) match the committed golden file.
+/// `SHERLOCK_BLESS=1` rewrites the file instead.
+#[test]
+fn canary_pct_exploration_matches_golden_file() {
+    let app = canary();
+    let mut content = String::new();
+    for (t, test) in app.tests.iter().enumerate() {
+        let _ = writeln!(content, "{}", test.name());
+        for report in explore_test(t, test, StrategyKind::Pct { depth: 3 }, PCT_RUNS, 2) {
+            let racy = if has_seeded_race(&app, &report) {
+                " racy"
+            } else {
+                ""
+            };
+            let _ = writeln!(content, "  {:016x}{racy}", report.trace.stable_hash());
+        }
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explore-App-1-pct.txt");
+    if std::env::var("SHERLOCK_BLESS").is_ok_and(|v| v == "1") {
+        fs::write(&path, &content).unwrap_or_else(|e| panic!("bless {}: {e}", path.display()));
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "no golden file at {} ({e}); run `SHERLOCK_BLESS=1 cargo test -q \
+             --test explore_integration` and commit the result",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden,
+        content,
+        "canary exploration drifted from {} — if intentional, re-bless with \
+         SHERLOCK_BLESS=1",
+        path.display()
+    );
 }
