@@ -109,11 +109,6 @@ pub struct SherLockConfig {
     /// the extension §5.5 proposes to recover `UpgradeToWriterLock`-style
     /// double-role APIs.
     pub soft_single_role: bool,
-    /// Warm-start each LP solve from the previous round's optimal basis
-    /// (see [`sherlock_lp::Model::solve_warm`]). Inference results are
-    /// identical either way; disabling forces every solve cold, which the
-    /// warm-vs-cold parity suite uses as its reference.
-    pub warm_start: bool,
     /// Observer instrumentation behaviour.
     pub instrument: InstrumentConfig,
 }
@@ -132,7 +127,6 @@ impl Default for SherLockConfig {
             feedback: Feedback::default(),
             delay_probability: 1.0,
             soft_single_role: false,
-            warm_start: true,
             instrument: InstrumentConfig::default(),
         }
     }

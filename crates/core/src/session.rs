@@ -114,9 +114,6 @@ pub struct Session {
     memo: HashMap<u64, AbsorbedTrace>,
     memo_order: VecDeque<u64>,
     memo_capacity: usize,
-    /// Optimal basis of the last LP round, warm-starting the next solve
-    /// (active when [`SherLockConfig::warm_start`] is set).
-    basis: sherlock_lp::Basis,
     /// Metric values at session start; report telemetry is the delta.
     session_start: obs::Snapshot,
 }
@@ -134,7 +131,6 @@ impl Session {
             memo: HashMap::new(),
             memo_order: VecDeque::new(),
             memo_capacity: DEFAULT_MEMO_CAPACITY,
-            basis: sherlock_lp::Basis::new(),
             session_start: obs::snapshot(),
         }
     }
@@ -185,8 +181,6 @@ impl Session {
     /// `accumulate = false` ablation); the memo caches survive.
     pub fn clear_observations(&mut self) {
         self.observations = Observations::new();
-        // The old optimum says nothing about the next (unrelated) model.
-        self.basis.clear();
         self.dirty = true;
     }
 
@@ -317,11 +311,10 @@ impl Session {
     /// Serializes the session's durable state for a `sherlock-store`
     /// snapshot: the accumulated [`Observations`] plus the absorb counter.
     ///
-    /// The memo caches, warm-start basis, and cached report are deliberately
-    /// *not* serialized — they are recomputed state, and the warm-vs-cold
-    /// byte-parity suite (`tests/warm_parity.rs`) plus the solver's
-    /// name-derived ordering guarantee a rehydrated session re-solves to a
-    /// byte-identical report without them.
+    /// The memo caches and cached report are deliberately *not* serialized —
+    /// they are recomputed state, and the solver's name-derived ordering
+    /// guarantees a rehydrated session re-solves to a byte-identical report
+    /// without them (pinned by `tests/durable_parity.rs`).
     pub fn to_snapshot_value(&self) -> obs::json::Json {
         use obs::json::Json;
         Json::Obj(vec![
@@ -393,11 +386,7 @@ impl Session {
         }
         self.report = {
             let _s = obs::span("phase.solve");
-            if self.config.warm_start {
-                solver::solve_warm(&self.observations, &self.config, &mut self.basis)?
-            } else {
-                solver::solve(&self.observations, &self.config)?
-            }
+            solver::solve(&self.observations, &self.config)?
         };
         self.report.telemetry = obs::snapshot().delta(&self.session_start);
         self.dirty = false;

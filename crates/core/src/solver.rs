@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sherlock_lp::{Basis, LinExpr, LpError, Model, VarId};
+use sherlock_lp::{LinExpr, LpError, Model, VarId};
 use sherlock_trace::durations::DurationStats;
 use sherlock_trace::{MethodKind, OpId, OpRef};
 
@@ -34,16 +34,14 @@ fn allowed_roles(op: &OpRef, enforce: bool) -> (bool, bool) {
 }
 
 /// Probabilities are snapped to a 1e-9 grid before any threshold or
-/// tie-break comparison. The warm and cold solve paths may walk different
-/// pivot sequences to the same optimum, differing only in float noise far
-/// below the solver's 1e-7 tolerances; snapping keeps the resolve loop's
-/// `max_by` choice and the report's threshold cut identical either way
-/// (the warm-start parity suite relies on this).
+/// tie-break comparison, so float noise far below the solver's 1e-7
+/// tolerances cannot move the resolve loop's `max_by` choice or the
+/// report's threshold cut.
 fn snap(p: f64) -> f64 {
     (p * 1e9).round() * 1e-9
 }
 
-/// Runs the Solver over all accumulated observations (cold start).
+/// Runs the Solver over all accumulated observations.
 ///
 /// # Errors
 ///
@@ -51,29 +49,6 @@ fn snap(p: f64) -> f64 {
 /// with this encoding — all constraints admit the all-zero point except the
 /// variable bounds — but iteration limits can).
 pub fn solve(obs: &Observations, cfg: &SherLockConfig) -> Result<InferenceReport, LpError> {
-    solve_impl(obs, cfg, None)
-}
-
-/// Runs the Solver warm-starting every LP (the initial solve *and* each
-/// resolve round) from `basis`, leaving the final round's optimal basis in
-/// the handle for the next call. See [`sherlock_lp::Model::solve_warm`].
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_warm(
-    obs: &Observations,
-    cfg: &SherLockConfig,
-    basis: &mut Basis,
-) -> Result<InferenceReport, LpError> {
-    solve_impl(obs, cfg, Some(basis))
-}
-
-fn solve_impl(
-    obs: &Observations,
-    cfg: &SherLockConfig,
-    mut basis: Option<&mut Basis>,
-) -> Result<InferenceReport, LpError> {
     let filter_racy = cfg.feedback.race_removal;
     let racy = obs.racy_pairs();
 
@@ -82,8 +57,8 @@ fn solve_impl(
     // rehydrated the same session from disk, so every order that feeds the
     // model below — window row order, variable creation order, expression
     // term order, tie-breaks — is derived from resolved operation *names*
-    // (the same process-stable key the warm-start basis and the
-    // symmetry-breaking perturbation already use). That is what makes a
+    // (the same process-stable key the symmetry-breaking perturbation
+    // already uses). That is what makes a
     // replayed session's report byte-identical to the original's.
     let mut windows: Vec<(&crate::observations::WindowKey, f64)> = obs
         .windows()
@@ -230,8 +205,8 @@ fn solve_impl(
     // corner of that face without affecting any non-degenerate comparison.
     // Derived from the variable *name* (FNV-1a mod a prime) rather than its
     // index: indices shift as candidates appear across rounds, and a
-    // perturbation that moves between rounds would both re-break ties
-    // differently round to round and fight the warm-start path. The 1e-8
+    // perturbation that moves between rounds would re-break ties
+    // differently round to round. The 1e-8
     // granularity stays above the solvers' 1e-9 dual tolerance so every
     // solver honors it.
     for (_, &v) in vars.iter() {
@@ -327,11 +302,7 @@ fn solve_impl(
     // never makes the system infeasible (every constraint admits it by
     // zeroing its competitors), so the loop terminates with an integral,
     // cost-minimal-up-to-greedy assignment.
-    let run_solve = |model: &Model, basis: &mut Option<&mut Basis>| match basis {
-        Some(b) => model.solve_warm(b),
-        None => model.solve(),
-    };
-    let mut solution = run_solve(&model, &mut basis)?;
+    let mut solution = model.solve()?;
     let mut resolve_rounds: u64 = 0;
     for _ in 0..64 {
         // Iterate in name order so an exact tie in snapped probability fixes
@@ -344,7 +315,7 @@ fn solve_impl(
         let Some((v, _)) = fractional else { break };
         model.constrain_eq(LinExpr::from(v), 1.0);
         resolve_rounds += 1;
-        solution = run_solve(&model, &mut basis)?;
+        solution = model.solve()?;
     }
     sherlock_obs::histogram!("lp.resolve_rounds").observe(resolve_rounds);
 

@@ -10,13 +10,11 @@
 //! basis updates, periodic refactorization, Bland's-rule anti-cycling
 //! fallback).
 //!
-//! Because SherLock's inference rounds only *add* constraints, the solver
-//! supports warm starts: [`Model::solve_warm`] resumes from a [`Basis`]
-//! recorded by the previous round's optimum, typically cutting the pivot
-//! count by an order of magnitude. The original dense two-phase tableau
-//! survives as [`simplex::dense`], a slow reference oracle reachable via
-//! [`Model::solve_dense`] that the differential test harness checks every
-//! change against.
+//! Every solve starts cold from the all-slack basis, as the paper's Solver
+//! hands each round's rebuilt LP to its off-the-shelf solver. The original
+//! dense two-phase tableau survives as [`simplex::dense`], a slow reference
+//! oracle reachable via [`Model::solve_dense`] that the differential test
+//! harness checks every change against.
 //!
 //! # Example
 //!
@@ -34,25 +32,7 @@
 //! assert!(sol.value(y).abs() < 1e-7);
 //! assert!((sol.objective - 1.0).abs() < 1e-7);
 //! ```
-//!
-//! # Warm starts
-//!
-//! ```
-//! use sherlock_lp::{Basis, Model, LinExpr};
-//!
-//! let mut basis = Basis::new();
-//! let mut m = Model::new();
-//! let x = m.add_var("x", 0.0, 1.0);
-//! m.minimize(LinExpr::from(x));
-//! m.solve_warm(&mut basis).unwrap();
-//! // Later rounds rebuild the model (indices may shift — names persist)
-//! // and resume from `basis`.
-//! m.constrain_ge(LinExpr::from(x), 0.5);
-//! let sol = m.solve_warm(&mut basis).unwrap();
-//! assert!((sol.value(x) - 0.5).abs() < 1e-7);
-//! ```
 
-mod basis;
 mod expr;
 mod model;
 mod presolve;
@@ -60,6 +40,5 @@ mod revised;
 pub mod simplex;
 pub mod sparse;
 
-pub use basis::{Basis, VarStatus};
 pub use expr::LinExpr;
 pub use model::{LpError, Model, Solution, VarId};

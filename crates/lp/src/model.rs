@@ -1,6 +1,5 @@
 use std::fmt;
 
-use crate::basis::{Basis, VarStatus};
 use crate::expr::LinExpr;
 use crate::simplex::{dense, Problem, Relation, Row, SimplexError};
 use crate::{presolve, revised};
@@ -31,37 +30,6 @@ impl fmt::Display for LpError {
 }
 
 impl std::error::Error for LpError {}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Stable per-row signatures: FNV-1a over each presolved row's
-/// `(variable name, coefficient)` pairs, relation, and rhs. Rows have no
-/// names, so this is the identity the warm-start [`Basis`] keys slack
-/// statuses by; a row that survives a model rebuild unchanged hashes to the
-/// same tag and carries its tight/slack state across.
-fn row_tags(pre: &presolve::Presolved) -> Vec<u64> {
-    pre.rows
-        .iter()
-        .map(|row| {
-            let mut h = FNV_OFFSET;
-            for &(j, c) in &row.coeffs {
-                h = fnv_mix(h, pre.names[j].as_bytes());
-                h = fnv_mix(h, &c.to_bits().to_le_bytes());
-            }
-            h = fnv_mix(h, &[row.relation as u8]);
-            fnv_mix(h, &row.rhs.to_bits().to_le_bytes())
-        })
-        .collect()
-}
 
 /// Whether `SHERLOCK_LP_CHECK=1` asked for every sparse solve to be
 /// cross-checked against the dense oracle (read once per process).
@@ -185,23 +153,6 @@ impl Model {
         self.objective += expr;
     }
 
-    /// A stable content hash (FNV-1a over referenced variable names,
-    /// coefficient bits, the constant term, and the weight) naming hinge/abs
-    /// auxiliaries. Index-derived names would shift whenever an unrelated
-    /// variable is added earlier in a rebuilt model, which silently
-    /// invalidates warm-start bases recorded by name; content-derived names
-    /// survive model rebuilds as long as the penalty term itself is
-    /// unchanged.
-    fn expr_tag(&self, expr: &LinExpr, weight: f64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for (v, c) in expr.coefficients() {
-            h = fnv_mix(h, self.vars[v.0].name.as_bytes());
-            h = fnv_mix(h, &c.to_bits().to_le_bytes());
-        }
-        h = fnv_mix(h, &expr.constant_term().to_bits().to_le_bytes());
-        fnv_mix(h, &weight.to_bits().to_le_bytes())
-    }
-
     /// Adds `weight · max(0, expr)` to the objective (SherLock's
     /// Mostly-Protected terms, Eq. 2) and returns the auxiliary variable
     /// carrying the hinge value.
@@ -212,8 +163,7 @@ impl Model {
     /// nonnegative weights).
     pub fn add_hinge(&mut self, expr: LinExpr, weight: f64) -> VarId {
         assert!(weight >= 0.0, "hinge weight must be nonnegative");
-        let tag = self.expr_tag(&expr, weight);
-        let s = self.add_var(format!("hinge:{tag:016x}"), 0.0, f64::INFINITY);
+        let s = self.add_var(format!("hinge:{}", self.vars.len()), 0.0, f64::INFINITY);
         // s >= expr  ⇔  expr - s <= 0
         self.constrain_le(expr - LinExpr::from(s), 0.0);
         self.minimize(LinExpr::term(s, weight));
@@ -228,48 +178,27 @@ impl Model {
     /// Panics if `weight` is negative.
     pub fn add_abs(&mut self, expr: LinExpr, weight: f64) -> VarId {
         assert!(weight >= 0.0, "abs weight must be nonnegative");
-        let tag = self.expr_tag(&expr, weight);
-        let t = self.add_var(format!("abs:{tag:016x}"), 0.0, f64::INFINITY);
+        let t = self.add_var(format!("abs:{}", self.vars.len()), 0.0, f64::INFINITY);
         self.constrain_le(expr.clone() - LinExpr::from(t), 0.0);
         self.constrain_le(-expr - LinExpr::from(t), 0.0);
         self.minimize(LinExpr::term(t, weight));
         t
     }
 
-    /// Solves the model with the sparse revised simplex (cold start).
+    /// Solves the model with the sparse revised simplex, starting from the
+    /// all-slack basis.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::Infeasible`], [`LpError::Unbounded`], or
     /// [`LpError::IterationLimit`].
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_inner(None)
-    }
-
-    /// Solves the model starting from a previously recorded [`Basis`], then
-    /// overwrites the handle with this solve's optimal basis.
-    ///
-    /// The basis maps onto the model by variable *name*: statuses for names
-    /// the model doesn't have are ignored, variables the basis doesn't know
-    /// start at a bound. A stale or empty basis is never wrong — at worst
-    /// the solver spends extra phase-1 pivots repairing it, and an empty
-    /// basis makes this identical to [`Model::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`]. On error the basis is cleared (there is no
-    /// optimal vertex worth resuming from).
-    pub fn solve_warm(&self, basis: &mut Basis) -> Result<Solution, LpError> {
-        self.solve_inner(Some(basis))
-    }
-
-    fn solve_inner(&self, basis: Option<&mut Basis>) -> Result<Solution, LpError> {
         let _s = sherlock_obs::span("lp.simplex");
         sherlock_obs::counter!("simplex.solves").incr();
         sherlock_obs::histogram!("simplex.rows").observe(self.rows.len() as u64);
         sherlock_obs::histogram!("simplex.vars").observe(self.vars.len() as u64);
 
-        let outcome = self.solve_sparse(basis);
+        let outcome = self.solve_sparse();
         if cross_check_enabled() {
             self.cross_check(&outcome);
         }
@@ -317,77 +246,11 @@ impl Model {
     /// Presolve → lower → revised simplex → reconstruct. The second tuple
     /// element is `(phase1 pivots, phase2 pivots, refactorizations)` for the
     /// flight recorder.
-    fn solve_sparse(
-        &self,
-        basis: Option<&mut Basis>,
-    ) -> Result<(Solution, (u64, u64, u64)), LpError> {
-        let pre = match presolve::run(self) {
-            Ok(p) => p,
-            Err(e) => {
-                if let Some(b) = basis {
-                    b.reset();
-                }
-                return Err(e);
-            }
-        };
+    fn solve_sparse(&self) -> Result<(Solution, (u64, u64, u64)), LpError> {
+        let pre = presolve::run(self)?;
         sherlock_obs::histogram!("lp.presolve_rows_dropped").observe(pre.rows_dropped as u64);
         sherlock_obs::histogram!("lp.presolve_vars_fixed").observe(pre.vars_fixed as u64);
-        let inst = revised::Instance::build(&pre);
-
-        // Map the warm basis onto the reduced problem: structural columns by
-        // variable name, slack columns by row signature (which rows were
-        // tight at the previous optimum). Unmatched structurals rest at a
-        // bound; unmatched (new) rows get a Basic slack, the same slackness
-        // a cold start would give them. Basis installation places recorded
-        // structurals first and demotes surplus slacks.
-        let row_tags = row_tags(&pre);
-        let n_cols = inst.n_struct + inst.m;
-        let start: Option<Vec<VarStatus>> = match &basis {
-            Some(b) if !b.is_empty() => {
-                let mut statuses = vec![VarStatus::AtLower; n_cols];
-                statuses[inst.n_struct..].fill(VarStatus::Basic);
-                let mut hits = 0usize;
-                for (j, name) in pre.names.iter().enumerate() {
-                    if let Some(s) = b.status(name) {
-                        statuses[j] = s;
-                        hits += 1;
-                    }
-                }
-                for (i, &tag) in row_tags.iter().enumerate() {
-                    if let Some(s) = b.row_status(tag) {
-                        statuses[inst.n_struct + i] = s;
-                        hits += 1;
-                    }
-                }
-                if hits > 0 {
-                    sherlock_obs::counter!("lp.warm_hits").incr();
-                    Some(statuses)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-
-        let out = match revised::solve(&inst, start.as_deref()) {
-            Ok(out) => out,
-            Err(e) => {
-                if let Some(b) = basis {
-                    b.reset();
-                }
-                return Err(e.into());
-            }
-        };
-
-        if let Some(b) = basis {
-            b.reset();
-            for (j, name) in pre.names.iter().enumerate() {
-                b.record(name, out.statuses[j]);
-            }
-            for (i, &tag) in row_tags.iter().enumerate() {
-                b.record_row(tag, out.statuses[inst.n_struct + i]);
-            }
-        }
+        let out = revised::solve(&revised::Instance::build(&pre))?;
 
         // Reconstruct the full assignment: presolve-fixed variables replay
         // their fixed value, the rest read the reduced solution.
@@ -451,8 +314,8 @@ impl Model {
     pub fn presolved(&self) -> Result<Model, LpError> {
         let pre = presolve::run(self)?;
         let mut reduced = Model::new();
-        for (j, name) in pre.names.iter().enumerate() {
-            reduced.add_var(name.clone(), pre.lower[j], pre.upper[j]);
+        for (j, &orig) in pre.kept.iter().enumerate() {
+            reduced.add_var(self.vars[orig].name.clone(), pre.lower[j], pre.upper[j]);
         }
         for row in &pre.rows {
             let mut expr = LinExpr::zero();
@@ -476,7 +339,7 @@ impl Model {
     ///
     /// This is the slow reference oracle kept for differential testing —
     /// production code should call [`Model::solve`]. No presolve, no
-    /// warm-start, no instrumentation.
+    /// instrumentation.
     ///
     /// # Errors
     ///

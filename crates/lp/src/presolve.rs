@@ -45,8 +45,8 @@ pub(crate) struct CanonRow {
 /// back onto the original variables.
 #[derive(Clone, Debug)]
 pub(crate) struct Presolved {
-    /// Reduced variables, original names preserved.
-    pub names: Vec<String>,
+    /// Original index of each reduced variable.
+    pub kept: Vec<usize>,
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
     /// Surviving rows over reduced indices.
@@ -243,9 +243,9 @@ pub(crate) fn run(model: &Model) -> Result<Presolved, LpError> {
     }
 
     Ok(Presolved {
-        names: kept.iter().map(|&j| model.vars[j].name.clone()).collect(),
         lower: kept.iter().map(|&j| lower[j]).collect(),
         upper: kept.iter().map(|&j| upper[j]).collect(),
+        kept,
         rows: out_rows,
         cost,
         obj_offset,

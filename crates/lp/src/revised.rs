@@ -1,8 +1,8 @@
 //! Bounded-variable sparse revised simplex with product-form basis updates.
 //!
-//! This is the production solver behind [`crate::Model::solve`] and
-//! [`crate::Model::solve_warm`]. Differences from the dense oracle in
-//! [`crate::simplex::dense`] that make it fast on SherLock's LPs:
+//! This is the production solver behind [`crate::Model::solve`]. Differences
+//! from the dense oracle in [`crate::simplex::dense`] that make it fast on
+//! SherLock's LPs:
 //!
 //! * **Bounds are implicit.** Variables carry `[lo, hi]` ranges directly —
 //!   no bound rows, no free-variable column splitting. SherLock's models are
@@ -17,16 +17,14 @@
 //!   over the basic columns, slack columns first since they factor
 //!   trivially) to bound the file length and flush accumulated error.
 //! * **Composite phase 1.** Instead of artificial variables, an infeasible
-//!   basis minimizes total bound violation of the basic variables directly.
-//!   This is what makes *warm starts* work: any [`crate::Basis`] mapped onto
-//!   the current model is a legal starting point — at worst it is primal
-//!   infeasible and phase 1 repairs it in a few pivots.
+//!   basis minimizes total bound violation of the basic variables directly,
+//!   so the all-slack start needs no extra columns when some slack begins
+//!   outside its sign range.
 //! * **Dantzig → Bland.** Most-negative-reduced-cost pricing with a switch
 //!   to Bland's least-index rule after [`DANTZIG_BUDGET`] iterations, which
 //!   guarantees termination on cycling/degenerate models (see
 //!   `crates/lp/tests/degenerate.rs`).
 
-use crate::basis::VarStatus;
 use crate::presolve::Presolved;
 use crate::simplex::{Relation, SimplexError};
 use crate::sparse::Csc;
@@ -51,6 +49,17 @@ const DANTZIG_BUDGET: usize = 5_000;
 /// Hard iteration cap.
 const MAX_ITERATIONS: usize = 200_000;
 
+/// Where a column sits in the current basis.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum VarStatus {
+    /// In the basis (value determined by the constraint system).
+    Basic,
+    /// Nonbasic at its lower bound (or at zero, for a free variable).
+    AtLower,
+    /// Nonbasic at its upper bound.
+    AtUpper,
+}
+
 /// A presolved model lowered to solver form: structural columns followed by
 /// one slack column per row, all bounds explicit.
 pub(crate) struct Instance {
@@ -68,7 +77,7 @@ pub(crate) struct Instance {
 impl Instance {
     pub fn build(p: &Presolved) -> Instance {
         let m = p.rows.len();
-        let n_struct = p.names.len();
+        let n_struct = p.kept.len();
         let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_struct + m];
         for (i, row) in p.rows.iter().enumerate() {
             // Row coefficients are merged and sorted, and rows are visited in
@@ -106,30 +115,23 @@ impl Instance {
         }
     }
 
-    /// Clamp a warm-start status against this column's actual bounds: a
-    /// status pointing at an infinite bound is meaningless, so fall back to
-    /// the nearest finite bound (or park a free variable at zero via
-    /// `AtLower`, which [`Simplex::nb_value`] reads as 0).
-    fn normalize(&self, j: usize, s: VarStatus) -> VarStatus {
-        match s {
-            VarStatus::Basic => VarStatus::Basic,
-            VarStatus::AtUpper if self.upper[j].is_finite() => VarStatus::AtUpper,
-            VarStatus::AtUpper | VarStatus::AtLower if self.lower[j].is_finite() => {
-                VarStatus::AtLower
-            }
-            _ if self.upper[j].is_finite() => VarStatus::AtUpper,
-            _ => VarStatus::AtLower,
+    /// The bound a nonbasic column rests at when the basis is built: its
+    /// lower bound if finite, else its upper bound if finite, else zero (a
+    /// free column, which [`Simplex::nb_value`] reads as 0 from `AtLower`).
+    fn normalize(&self, j: usize) -> VarStatus {
+        if !self.lower[j].is_finite() && self.upper[j].is_finite() {
+            VarStatus::AtUpper
+        } else {
+            VarStatus::AtLower
         }
     }
 }
 
 /// Solver outcome: structural values, raw objective (no presolve offset),
-/// the final column statuses (for [`crate::Basis`] capture), and
-/// flight-recorder tallies.
+/// and flight-recorder tallies.
 pub(crate) struct SolveOut {
     pub x: Vec<f64>,
     pub objective: f64,
-    pub statuses: Vec<VarStatus>,
     pub phase1_pivots: u64,
     pub phase2_pivots: u64,
     pub bound_flips: u64,
@@ -165,26 +167,13 @@ struct Simplex<'a> {
 }
 
 impl<'a> Simplex<'a> {
-    fn new(inst: &'a Instance, start: Option<&[VarStatus]>) -> Simplex<'a> {
+    /// Cold start: structurals at a bound, slacks basic (the all-slack
+    /// basis is the identity — zero etas).
+    fn new(inst: &'a Instance) -> Simplex<'a> {
         let n = inst.cols.n_cols();
         let m = inst.m;
-        let mut status = Vec::with_capacity(n);
-        match start {
-            Some(s) => {
-                debug_assert_eq!(s.len(), n);
-                for (j, &st) in s.iter().enumerate() {
-                    status.push(inst.normalize(j, st));
-                }
-            }
-            None => {
-                // Cold start: structurals at a bound, slacks basic (the
-                // all-slack basis is the identity — zero etas).
-                for j in 0..inst.n_struct {
-                    status.push(inst.normalize(j, VarStatus::AtLower));
-                }
-                status.extend(std::iter::repeat_n(VarStatus::Basic, m));
-            }
-        }
+        let mut status: Vec<VarStatus> = (0..inst.n_struct).map(|j| inst.normalize(j)).collect();
+        status.extend(std::iter::repeat_n(VarStatus::Basic, m));
         Simplex {
             inst,
             n,
@@ -295,7 +284,7 @@ impl<'a> Simplex<'a> {
         let mut w = vec![0.0; self.m];
         for &c in candidates {
             if !self.place(c, &mut assigned, &mut w) {
-                self.status[c] = self.inst.normalize(c, VarStatus::AtLower);
+                self.status[c] = self.inst.normalize(c);
             }
         }
         // Repair: fill each uncovered row, preferring its own slack.
@@ -314,9 +303,9 @@ impl<'a> Simplex<'a> {
                 }
             }
         }
-        // The factorization itself may hold many etas (a warm basis full of
-        // structural columns eliminates one per placement); only etas pushed
-        // by *pivots* after this point count toward the next refactorization.
+        // The factorization itself may hold many etas (each basic structural
+        // column eliminates one per placement); only etas pushed by *pivots*
+        // after this point count toward the next refactorization.
         self.base_etas = self.etas.len();
         if assigned.iter().all(|a| *a) {
             Ok(())
@@ -354,45 +343,17 @@ impl<'a> Simplex<'a> {
     }
 }
 
-/// Solve a lowered instance, optionally from a warm set of column statuses.
-pub(crate) fn solve(
-    inst: &Instance,
-    start: Option<&[VarStatus]>,
-) -> Result<SolveOut, SimplexError> {
+/// Solve a lowered instance from the all-slack basis.
+pub(crate) fn solve(inst: &Instance) -> Result<SolveOut, SimplexError> {
     let m = inst.m;
-    let mut sim = Simplex::new(inst, start);
-
-    // Initial install. A warm start lists recorded-Basic structurals ahead
-    // of the (defaulted-Basic) slacks so the carried-over basis wins rows
-    // before the repair slacks claim them; the cold path keeps the
-    // slacks-first order, which factors as the identity.
-    let initial = if start.is_some() {
-        let mut c: Vec<usize> = (0..inst.n_struct)
-            .filter(|&j| sim.status[j] == VarStatus::Basic)
-            .collect();
-        c.extend((inst.n_struct..sim.n).filter(|&j| sim.status[j] == VarStatus::Basic));
-        c
-    } else {
-        sim.basic_candidates()
-    };
-    if sim.install_basis(&initial).is_err() {
-        // Degenerate fallback: restart from the all-slack identity basis,
-        // which always factors.
-        for j in 0..inst.n_struct {
-            sim.status[j] = inst.normalize(j, VarStatus::AtLower);
-        }
-        for j in inst.n_struct..sim.n {
-            sim.status[j] = VarStatus::Basic;
-        }
-        sim.install_basis(&sim.basic_candidates())
-            .expect("all-slack basis is the identity");
-    }
+    let mut sim = Simplex::new(inst);
+    sim.install_basis(&sim.basic_candidates())
+        .expect("all-slack basis is the identity");
     sim.compute_xb();
 
     let mut out = SolveOut {
         x: Vec::new(),
         objective: 0.0,
-        statuses: Vec::new(),
         phase1_pivots: 0,
         phase2_pivots: 0,
         bound_flips: 0,
@@ -406,7 +367,7 @@ pub(crate) fn solve(
         // Phase detection: any basic variable outside its bounds puts us in
         // (composite) phase 1, minimizing total violation; otherwise the
         // basic costs drive ordinary phase 2. Re-derived every iteration so
-        // the loop handles arbitrary warm bases without a separate driver.
+        // an infeasible start needs no separate driver.
         let mut phase1 = false;
         for (i, ci) in cb.iter_mut().enumerate() {
             let b = sim.basis[i];
@@ -638,7 +599,6 @@ fn finish(inst: &Instance, sim: Simplex<'_>, mut out: SolveOut) -> SolveOut {
     }
     out.objective = x.iter().zip(inst.cost.iter()).map(|(xv, c)| xv * c).sum();
     out.x = x;
-    out.statuses = sim.status;
     out.refactorizations = sim.refactorizations;
     out
 }

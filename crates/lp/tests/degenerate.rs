@@ -243,6 +243,30 @@ fn oracle_agrees_on_degenerate_cases() {
         obj.add_term(y, -1.0);
         m.minimize(obj);
         v.push(m);
+
+        // Free column: a cold start parks it at zero, and the optimum
+        // (x, y) = (-1, 2) needs it basic and negative. The scaled copy
+        // of the first row makes the optimal vertex degenerate.
+        let mut m = Model::new();
+        let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_var("y", 0.0, f64::INFINITY);
+        m.constrain_ge(LinExpr::from(x) + LinExpr::from(y), 1.0);
+        m.constrain_ge(LinExpr::from(x) * 2.0 + LinExpr::from(y) * 2.0, 2.0);
+        m.constrain_ge(LinExpr::from(x) - LinExpr::from(y), -3.0);
+        m.constrain_le(LinExpr::from(y), 4.0);
+        m.minimize(LinExpr::from(x));
+        v.push(m);
+
+        // Upper-bounded-only column: a cold start rests it at its upper
+        // bound 5, which violates both rows, so phase 1 has to pull it down
+        // to the optimum (z, w) = (2, 1).
+        let mut m = Model::new();
+        let z = m.add_var("z", f64::NEG_INFINITY, 5.0);
+        let w = m.add_var("w", 0.0, f64::INFINITY);
+        m.constrain_le(LinExpr::from(z) + LinExpr::from(w), 3.0);
+        m.constrain_le(LinExpr::from(z) - LinExpr::from(w), 1.0);
+        m.minimize(-LinExpr::from(z));
+        v.push(m);
         v
     };
     for (i, m) in cases.iter().enumerate() {

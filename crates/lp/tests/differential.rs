@@ -272,42 +272,3 @@ fn sparse_agrees_with_dense_on_row_heavy_models() {
         agree,
     );
 }
-
-/// The warm path must reach the same optimum as the cold path from any
-/// recorded basis — including a basis recorded on a *different* (smaller)
-/// model, mimicking SherLock's accumulating rounds.
-#[test]
-fn warm_start_matches_cold_on_random_models() {
-    let cfg = Config {
-        cases: 256,
-        seed: 0x3a3a,
-        ..Config::default()
-    };
-    check(&cfg, gen_spec, shrink_spec, |spec| {
-        let m = spec.build();
-        let cold = m.solve();
-        // Basis recorded from a reduced version of the model (first rows
-        // dropped), then used to warm-start the full model.
-        let mut basis = sherlock_lp::Basis::new();
-        let mut smaller = spec.clone();
-        smaller.rows.truncate(smaller.rows.len() / 2);
-        let _ = smaller.build().solve_warm(&mut basis);
-        let warm = m.solve_warm(&mut basis);
-        match (&cold, &warm) {
-            (Err(LpError::IterationLimit), _) | (_, Err(LpError::IterationLimit)) => Ok(()),
-            (Ok(c), Ok(w)) => {
-                let scale = 1.0 + c.objective.abs().max(w.objective.abs());
-                if (c.objective - w.objective).abs() / scale < EPS {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "objective mismatch: cold {} vs warm {}",
-                        c.objective, w.objective
-                    ))
-                }
-            }
-            (Err(a), Err(b)) if a == b => Ok(()),
-            (a, b) => Err(format!("status mismatch: cold {a:?} vs warm {b:?}")),
-        }
-    });
-}

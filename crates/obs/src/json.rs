@@ -89,6 +89,7 @@ impl Json {
     /// offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -307,6 +308,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -427,13 +429,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -516,10 +519,30 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parser() {
         let nasty = "quote:\" backslash:\\ newline:\n nul:\u{0} bell:\u{7} unicode:héλ🙂";
-        let rendered = Json::Str(nasty.to_string()).render();
-        assert_eq!(
-            Json::parse(&rendered).unwrap(),
-            Json::Str(nasty.to_string())
+        // Multi-byte scalars directly against escapes on both sides.
+        let packed = "é\"🙂\\λ\n中\u{1}ü\t\"\"€";
+        for s in [nasty, packed] {
+            let rendered = Json::Str(s.to_string()).render();
+            assert_eq!(Json::parse(&rendered).unwrap(), Json::Str(s.to_string()));
+        }
+    }
+
+    /// String content costs linear time: a several-MB string-heavy document
+    /// parses well inside a bound that a per-character rescan of the rest of
+    /// the input misses by orders of magnitude.
+    #[test]
+    fn string_heavy_document_parses_in_linear_time() {
+        let item = Json::Str("trace héλ🙂 \"op\" C:\\path\n".repeat(8));
+        let doc = Json::Arr(vec![item; 24 * 1024]).render();
+        assert!(doc.len() > 4 << 20, "document is {} bytes", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_array().map(<[Json]>::len), Some(24 * 1024));
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
         );
     }
 
@@ -538,6 +561,10 @@ mod tests {
         assert_eq!(
             Json::parse(r#""é🙂""#).unwrap(),
             Json::Str("é🙂".to_string())
+        );
+        assert_eq!(
+            Json::parse(r#""\u00e9é\"🙂\\\ud83d\ude42λ""#).unwrap(),
+            Json::Str("éé\"🙂\\🙂λ".to_string())
         );
     }
 

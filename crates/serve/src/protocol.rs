@@ -161,14 +161,40 @@ pub fn validate_session_key(key: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A protocol line that is not a valid request.
+#[derive(Debug)]
+pub struct BadRequest {
+    /// The line's `id`, when it parsed as a JSON object carrying one
+    /// (`null` otherwise), so the error response still correlates.
+    pub id: Json,
+    /// Human-readable message naming the first syntax or schema violation.
+    pub message: String,
+}
+
+impl From<BadRequest> for String {
+    fn from(e: BadRequest) -> String {
+        e.message
+    }
+}
+
 /// Parses one protocol line.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message naming the first syntax or schema
-/// violation; the server turns it into a structured error response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = Json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
+/// Returns a [`BadRequest`] naming the first syntax or schema violation;
+/// the server turns it into a structured error response.
+pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
+    let doc = Json::parse(line).map_err(|e| BadRequest {
+        id: Json::Null,
+        message: format!("malformed JSON: {e}"),
+    })?;
+    request_from(&doc).map_err(|message| BadRequest {
+        id: doc.get("id").cloned().unwrap_or(Json::Null),
+        message,
+    })
+}
+
+fn request_from(doc: &Json) -> Result<Request, String> {
     if doc.as_object().is_none() {
         return Err("request must be a JSON object".into());
     }
@@ -397,11 +423,19 @@ mod tests {
         assert!(parse_request("[1,2]").is_err());
         assert!(parse_request(r#"{"type":"warp"}"#)
             .unwrap_err()
+            .message
             .contains("unknown request type"));
         assert!(parse_request(r#"{"type":"absorb_trace"}"#)
             .unwrap_err()
+            .message
             .contains("trace"));
         assert!(parse_request(r#"{"type":"solve","session":""}"#).is_err());
+        // The id travels with the error once the line parses as JSON.
+        assert_eq!(
+            parse_request(r#"{"id":9,"type":"warp"}"#).unwrap_err().id,
+            Json::from(9u64)
+        );
+        assert_eq!(parse_request("{\"id\":9").unwrap_err().id, Json::Null);
     }
 
     #[test]
@@ -411,7 +445,7 @@ mod tests {
                 r#"{{"type":"solve","session":{}}}"#,
                 Json::from(key).render()
             );
-            let err = parse_request(&line).unwrap_err();
+            let err = parse_request(&line).unwrap_err().message;
             assert!(err.contains(needle), "{key:?}: {err}");
         };
         reject("..", "..");
@@ -486,6 +520,7 @@ mod tests {
 
         assert!(parse_request(r#"{"type":"explore"}"#)
             .unwrap_err()
+            .message
             .contains("app"));
         assert!(parse_request(r#"{"type":"explore","app":"App-1","batch":-1}"#).is_err());
     }

@@ -596,17 +596,12 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
 
         let request = match parse_request(trimmed) {
             Ok(r) => r,
-            Err(msg) => {
+            Err(bad) => {
                 // A bad request yields a structured error — never a dead
-                // connection or a killed worker. Salvage the id when the
-                // line at least parses as JSON.
+                // connection or a killed worker.
                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("serve.protocol_errors").incr();
-                let id = Json::parse(trimmed)
-                    .ok()
-                    .and_then(|d| d.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                conn.send(this_seq, error_response(&id, &msg), shared);
+                conn.send(this_seq, error_response(&bad.id, &bad.message), shared);
                 continue;
             }
         };
