@@ -25,6 +25,7 @@
 //! from scratch (see `tests/serve_parity.rs`).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use sherlock_lp::LpError;
 use sherlock_obs as obs;
@@ -58,7 +59,6 @@ pub struct RoundStats {
 
 /// Everything absorbing one trace contributes, cached by full content hash
 /// so re-absorbing an identical trace skips extraction and refinement.
-#[derive(Clone)]
 struct AbsorbedTrace {
     /// Refined windows (delay-propagation already applied).
     windows: Vec<Window>,
@@ -111,7 +111,7 @@ pub struct Session {
     /// At least one solve has completed.
     solved: bool,
     traces_absorbed: usize,
-    memo: HashMap<u64, AbsorbedTrace>,
+    memo: HashMap<u64, Arc<AbsorbedTrace>>,
     memo_order: VecDeque<u64>,
     memo_capacity: usize,
     /// Metric values at session start; report telemetry is the delta.
@@ -195,15 +195,20 @@ impl Session {
             let _s = obs::span("phase.windows");
             windows::extract(trace, wcfg)
         };
-        let refinement = {
+        let mut refinement = {
             let _s = obs::span("phase.perturb");
             perturber::refine_windows(trace, &mut ws)
         };
+        let mut durations = durations::extract(trace);
+        // The memo keeps this entry as built, so drop the growth slack of
+        // the vectors filled by `push`.
+        refinement.exclusions.shrink_to_fit();
+        durations.values_mut().for_each(Vec::shrink_to_fit);
         AbsorbedTrace {
             windows: ws,
             exclusions: refinement.exclusions,
             confirmations: refinement.confirmations,
-            durations: durations::extract(trace),
+            durations,
             events: trace.len(),
         }
     }
@@ -226,12 +231,12 @@ impl Session {
         let absorbed = match self.memo.get(&key) {
             Some(hit) => {
                 obs::counter!("session.window_memo.hits").incr();
-                hit.clone()
+                Arc::clone(hit)
             }
             None => {
                 memo_hit = false;
                 obs::counter!("session.window_memo.misses").incr();
-                let a = Self::extract(trace, &wcfg);
+                let a = Arc::new(Self::extract(trace, &wcfg));
                 if self.memo_capacity > 0 {
                     if self.memo.len() >= self.memo_capacity {
                         if let Some(old) = self.memo_order.pop_front() {
@@ -239,7 +244,7 @@ impl Session {
                             obs::counter!("session.window_memo.evictions").incr();
                         }
                     }
-                    self.memo.insert(key, a.clone());
+                    self.memo.insert(key, Arc::clone(&a));
                     self.memo_order.push_back(key);
                 }
                 a
@@ -263,7 +268,7 @@ impl Session {
             }
             self.observations.add_window(w);
         }
-        self.observations.add_durations(absorbed.durations);
+        self.observations.add_durations(&absorbed.durations);
         self.observations.finish_run();
         self.traces_absorbed += 1;
         self.dirty = true;

@@ -96,7 +96,7 @@ pub fn solve(obs: &Observations, cfg: &SherLockConfig) -> Result<InferenceReport
         acq.sort_unstable();
         (name(k.pair.0), name(k.pair.1), rel, acq)
     };
-    windows.sort_by(|(a, _), (b, _)| window_key(a).cmp(&window_key(b)));
+    windows.sort_by_cached_key(|(k, _)| window_key(k));
 
     let mut ops_sorted: Vec<OpId> = ops.iter().copied().collect();
     ops_sorted.sort_by_key(|&op| name(op));
@@ -111,12 +111,12 @@ pub fn solve(obs: &Observations, cfg: &SherLockConfig) -> Result<InferenceReport
         let r = op.resolve();
         let (acq, rel) = allowed_roles(&r, cfg.hypotheses.read_acq_write_rel);
         if acq {
-            let v = model.add_var(format!("{r}^acq"), 0.0, 1.0);
+            let v = model.add_var(format!("{}^acq", name(op)), 0.0, 1.0);
             vars.insert((op, Role::Acquire), v);
             vars_ordered.push(((op, Role::Acquire), v));
         }
         if rel {
-            let v = model.add_var(format!("{r}^rel"), 0.0, 1.0);
+            let v = model.add_var(format!("{}^rel", name(op)), 0.0, 1.0);
             vars.insert((op, Role::Release), v);
             vars_ordered.push(((op, Role::Release), v));
         }
@@ -545,7 +545,7 @@ mod tests {
                 Time::from_micros(80),
             ],
         );
-        obs.add_durations(d);
+        obs.add_durations(&d);
         // Remove the read from the acquire side so methods compete: rebuild.
         let mut cfg = SherLockConfig::default();
         cfg.hypotheses.mostly_paired = false; // isolate the duration term

@@ -428,12 +428,15 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                // RFC 8259 §7: control characters must be escaped.
+                Some(0x00..=0x1f) => return Err(self.err("unescaped control character in string")),
                 Some(_) => {
-                    // Copy the whole run up to the next quote or backslash.
-                    // Both are ASCII, so the run ends on a char boundary.
+                    // Copy the whole run up to the next quote, backslash or
+                    // control character. All are ASCII, so the run ends on a
+                    // char boundary.
                     let run = self.bytes[self.pos..]
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .map_or(self.bytes.len(), |n| self.pos + n);
                     out.push_str(&self.text[self.pos..run]);
                     self.pos = run;
@@ -525,6 +528,29 @@ mod tests {
             let rendered = Json::Str(s.to_string()).render();
             assert_eq!(Json::parse(&rendered).unwrap(), Json::Str(s.to_string()));
         }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for raw in [
+            "\"a\nb\"",
+            "\"a\u{1}b\"",
+            "\"\u{0}\"",
+            "\"tab\there\"",
+            "[\"\u{1f}\"]",
+        ] {
+            let err = Json::parse(raw).unwrap_err();
+            assert!(err.message.contains("control character"), "{raw:?}: {err}");
+        }
+        // Escaped, the same characters parse; DEL and above need no escape.
+        assert_eq!(
+            Json::parse(r#""a\nb\u0001\u001f""#).unwrap(),
+            Json::Str("a\nb\u{1}\u{1f}".into())
+        );
+        assert_eq!(
+            Json::parse("\"\u{7f}\"").unwrap(),
+            Json::Str("\u{7f}".into())
+        );
     }
 
     /// String content costs linear time: a several-MB string-heavy document

@@ -439,6 +439,21 @@ mod tests {
     }
 
     #[test]
+    fn raw_control_characters_in_client_lines_are_rejected() {
+        for line in [
+            "{\"type\":\"solve\",\"session\":\"a\nb\"}",
+            "{\"type\":\"solve\",\"session\":\"a\u{1}b\"}",
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(
+                err.message.starts_with("malformed JSON") && err.message.contains("control"),
+                "{line:?}: {}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
     fn hostile_session_keys_are_rejected_with_structured_errors() {
         let reject = |key: &str, needle: &str| {
             let line = format!(

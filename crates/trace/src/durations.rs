@@ -18,35 +18,47 @@ use crate::time::Time;
 /// candidate acquire variable the statistic penalizes).
 pub type DurationMap = HashMap<OpId, Vec<Time>>;
 
+/// What one distinct operation contributes to duration matching.
+#[derive(Clone, Copy)]
+enum Kind {
+    Begin,
+    /// A method end, with the begin it closes.
+    End(OpId),
+    Other,
+}
+
 /// Extracts per-method duration samples from a trace.
 ///
 /// Unmatched begins (method still running at trace end) and unmatched ends
 /// (trace started mid-method; cannot happen with our simulator) are ignored.
 pub fn extract(trace: &Trace) -> DurationMap {
-    let mut begin_of_end: HashMap<OpId, OpId> = HashMap::new();
+    // Each distinct op is resolved once per trace, not once per event.
+    let mut kinds: HashMap<OpId, Kind> = HashMap::new();
     let mut open: HashMap<(u32, OpId), Vec<Time>> = HashMap::new();
     let mut out: DurationMap = HashMap::new();
 
     for ev in trace.events() {
-        match ev.op.resolve() {
-            OpRef::MethodBegin { .. } => {
+        let kind = *kinds.entry(ev.op).or_insert_with(|| match ev.op.resolve() {
+            OpRef::MethodBegin { .. } => Kind::Begin,
+            end @ OpRef::MethodEnd { .. } => Kind::End(
+                end.method_counterpart()
+                    .expect("MethodEnd has a counterpart")
+                    .intern(),
+            ),
+            OpRef::FieldRead { .. } | OpRef::FieldWrite { .. } => Kind::Other,
+        });
+        match kind {
+            Kind::Begin => {
                 open.entry((ev.thread.0, ev.op)).or_default().push(ev.time);
             }
-            OpRef::MethodEnd { .. } => {
-                let begin = *begin_of_end.entry(ev.op).or_insert_with(|| {
-                    ev.op
-                        .resolve()
-                        .method_counterpart()
-                        .expect("MethodEnd has a counterpart")
-                        .intern()
-                });
+            Kind::End(begin) => {
                 if let Some(stack) = open.get_mut(&(ev.thread.0, begin)) {
                     if let Some(start) = stack.pop() {
                         out.entry(begin).or_default().push(ev.time - start);
                     }
                 }
             }
-            _ => {}
+            Kind::Other => {}
         }
     }
     out

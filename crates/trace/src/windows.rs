@@ -13,9 +13,9 @@
 //! most [`WindowConfig::cap_per_pair`] windows are formed per pair of static
 //! locations (15 in the paper).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use crate::event::{AccessClass, ObjectId, ThreadId, Trace};
+use crate::event::{AccessClass, Event, ObjectId, ThreadId, Trace};
 use crate::op::{OpId, OpRef};
 use crate::time::Time;
 
@@ -54,7 +54,7 @@ pub struct Candidate {
 }
 
 /// An acquire/release window extracted around one dynamic conflicting pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Window {
     /// Static location of the earlier access `a`.
     pub a_op: OpId,
@@ -96,33 +96,59 @@ impl Window {
     }
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct OpMeta {
-    loc: Option<String>,
+    /// Per-trace index of the accessed field's `"{class}::{field}"` name;
+    /// `None` for thread-unsafe library call sites, which conflict
+    /// per-object (the object id alone identifies the location).
+    field: Option<u32>,
     can_release: bool,
     can_acquire: bool,
 }
 
-fn op_meta(cache: &mut HashMap<OpId, OpMeta>, op: OpId) -> OpMeta {
-    cache
-        .entry(op)
-        .or_insert_with(|| {
-            let r = op.resolve();
-            let loc = match &r {
-                OpRef::FieldRead { class, field } | OpRef::FieldWrite { class, field } => {
-                    Some(format!("{class}::{field}"))
-                }
-                // Thread-unsafe library call sites conflict per-object; the
-                // object id alone identifies the location.
-                OpRef::MethodBegin { .. } | OpRef::MethodEnd { .. } => None,
-            };
-            OpMeta {
-                loc,
-                can_release: r.can_release(),
-                can_acquire: r.can_acquire(),
+/// Per-trace [`OpMeta`] of each distinct operation, so every op is resolved
+/// once per trace rather than once per event.
+#[derive(Default)]
+struct MetaCache {
+    ops: HashMap<OpId, OpMeta>,
+    fields: HashMap<String, u32>,
+}
+
+impl MetaCache {
+    fn get(&mut self, op: OpId) -> OpMeta {
+        if let Some(&meta) = self.ops.get(&op) {
+            return meta;
+        }
+        let r = op.resolve();
+        let field = match &r {
+            OpRef::FieldRead { class, field } | OpRef::FieldWrite { class, field } => {
+                let next = u32::try_from(self.fields.len()).expect("field index overflow");
+                Some(
+                    *self
+                        .fields
+                        .entry(format!("{class}::{field}"))
+                        .or_insert(next),
+                )
             }
-        })
-        .clone()
+            OpRef::MethodBegin { .. } | OpRef::MethodEnd { .. } => None,
+        };
+        let meta = OpMeta {
+            field,
+            can_release: r.can_release(),
+            can_acquire: r.can_acquire(),
+        };
+        self.ops.insert(op, meta);
+        meta
+    }
+}
+
+/// The earlier accesses to one location, as event indices in index order.
+#[derive(Default)]
+struct Group {
+    /// Every access.
+    accesses: Vec<usize>,
+    /// The writes alone: all a later read can conflict with.
+    writes: Vec<usize>,
 }
 
 /// Extracts all acquire/release windows from a trace.
@@ -131,72 +157,72 @@ fn op_meta(cache: &mut HashMap<OpId, OpMeta>, op: OpId) -> OpMeta {
 /// for field accesses — the same fully-qualified field), come from different
 /// threads, at least one is a write, and their time gap is at most
 /// [`WindowConfig::near`]. Windows are returned in order of their later
-/// endpoint.
+/// endpoint, then their earlier one.
+///
+/// One pass over the events: a read scans back over the earlier writes to
+/// its location, a write over every earlier access, each stopping at the
+/// first one beyond `near`. The cost is O(accesses + conflicting pairs
+/// scanned). The per-pair cap keeps the pairs met first in the order
+/// "later endpoint ascending, nearer earlier endpoint first", which is the
+/// scan order.
 pub fn extract(trace: &Trace, cfg: &WindowConfig) -> Vec<Window> {
     let _s = sherlock_obs::span("windows.extract");
     let events = trace.events();
-    let mut meta_cache: HashMap<OpId, OpMeta> = HashMap::new();
-
-    // Group access events by location.
-    #[derive(PartialEq, Eq, Hash)]
-    enum LocKey {
-        Field(u64, String),
-        Object(u64),
-    }
-    let mut groups: HashMap<LocKey, Vec<usize>> = HashMap::new();
-    for (idx, ev) in events.iter().enumerate() {
-        if ev.access == AccessClass::None {
-            continue;
-        }
-        let meta = op_meta(&mut meta_cache, ev.op);
-        let key = match meta.loc {
-            Some(loc) => LocKey::Field(ev.object.0, loc),
-            None => LocKey::Object(ev.object.0),
-        };
-        groups.entry(key).or_default().push(idx);
-    }
-
-    // Collect candidate pairs first, then apply the per-pair cap in a global
-    // deterministic order (later endpoint ascending, nearer earlier endpoint
-    // first): a static pair can span several location groups (same field on
-    // different objects), so capping during the per-group scan would depend
-    // on group iteration order.
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for group in groups.values() {
-        for (gj, &j) in group.iter().enumerate() {
-            let ej = &events[j];
-            for &i in group[..gj].iter().rev() {
-                let ei = &events[i];
-                if ej.time - ei.time > cfg.near {
-                    break;
-                }
-                if ei.thread == ej.thread || !ei.access.conflicts_with(ej.access) {
-                    continue;
-                }
-                candidates.push((i, j));
-            }
-        }
-    }
-    candidates.sort_unstable_by_key(|&(i, j)| (j, std::cmp::Reverse(i)));
-
+    let mut meta = MetaCache::default();
+    let mut group_of: HashMap<(ObjectId, Option<u32>), usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
     let mut per_pair: HashMap<(OpId, OpId), usize> = HashMap::new();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for (i, j) in candidates {
-        let count = per_pair.entry((events[i].op, events[j].op)).or_insert(0);
-        if *count >= cfg.cap_per_pair {
+    let mut scanned: u64 = 0;
+
+    for (j, ej) in events.iter().enumerate() {
+        if ej.access == AccessClass::None {
             continue;
         }
-        *count += 1;
-        pairs.push((i, j));
+        let key = (ej.object, meta.get(ej.op).field);
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Group::default());
+            groups.len() - 1
+        });
+        let group = &mut groups[g];
+        let earlier = match ej.access {
+            AccessClass::Write => &group.accesses,
+            _ => &group.writes,
+        };
+        let first = pairs.len();
+        for &i in earlier.iter().rev() {
+            let ei = &events[i];
+            scanned += 1;
+            // Events are in nondecreasing time order (`TraceBuilder` and the
+            // JSON reader enforce it; `perturber::candidates_in` relies on
+            // it too), so every access before this one is further still.
+            if ej.time - ei.time > cfg.near {
+                break;
+            }
+            if ei.thread == ej.thread {
+                continue;
+            }
+            let count = per_pair.entry((ei.op, ej.op)).or_insert(0);
+            if *count < cfg.cap_per_pair {
+                *count += 1;
+                pairs.push((i, j));
+            }
+        }
+        // Scanned nearest first; emit earlier endpoint ascending.
+        pairs[first..].reverse();
+        group.accesses.push(j);
+        if ej.access == AccessClass::Write {
+            group.writes.push(j);
+        }
     }
-    // Output order: by the later endpoint, then the earlier.
-    pairs.sort_unstable_by_key(|&(i, j)| (j, i));
+    sherlock_obs::counter!("windows.scan_steps").add(scanned);
 
+    let mut scratch: Vec<OpId> = Vec::new();
     let out: Vec<Window> = pairs
         .into_iter()
         .map(|(i, j)| {
             sherlock_obs::histogram!("windows.span_events").observe((j - i + 1) as u64);
-            build_window(trace, i, j, &mut meta_cache)
+            build_window(events, i, j, &mut meta, &mut scratch)
         })
         .collect();
     sherlock_obs::counter!("windows.extracted").add(out.len() as u64);
@@ -204,37 +230,18 @@ pub fn extract(trace: &Trace, cfg: &WindowConfig) -> Vec<Window> {
 }
 
 fn build_window(
-    trace: &Trace,
+    events: &[Event],
     i: usize,
     j: usize,
-    meta_cache: &mut HashMap<OpId, OpMeta>,
+    meta: &mut MetaCache,
+    scratch: &mut Vec<OpId>,
 ) -> Window {
-    let events = trace.events();
     let a = &events[i];
     let b = &events[j];
-    let mut release: BTreeMap<OpId, u32> = BTreeMap::new();
-    let mut acquire: BTreeMap<OpId, u32> = BTreeMap::new();
-    for ev in &events[i..=j] {
-        if ev.thread == a.thread {
-            *release.entry(ev.op).or_insert(0) += 1;
-        } else if ev.thread == b.thread {
-            *acquire.entry(ev.op).or_insert(0) += 1;
-        }
-    }
-    let release: Vec<Candidate> = release
-        .into_iter()
-        .map(|(op, count)| Candidate { op, count })
-        .collect();
-    let acquire: Vec<Candidate> = acquire
-        .into_iter()
-        .map(|(op, count)| Candidate { op, count })
-        .collect();
-    let release_capable = release
-        .iter()
-        .any(|c| op_meta(meta_cache, c.op).can_release);
-    let acquire_capable = acquire
-        .iter()
-        .any(|c| op_meta(meta_cache, c.op).can_acquire);
+    let release = thread_candidates(&events[i..=j], a.thread, scratch);
+    let acquire = thread_candidates(&events[i..=j], b.thread, scratch);
+    let release_capable = release.iter().any(|c| meta.get(c.op).can_release);
+    let acquire_capable = acquire.iter().any(|c| meta.get(c.op).can_acquire);
     Window {
         a_op: a.op,
         b_op: b.op,
@@ -250,10 +257,210 @@ fn build_window(
     }
 }
 
+/// The operations `thread` executed in `span`, in `OpId` order with their
+/// occurrence counts. The result has exact capacity: the session memo keeps
+/// these vectors for as long as it keeps the window.
+fn thread_candidates(span: &[Event], thread: ThreadId, scratch: &mut Vec<OpId>) -> Vec<Candidate> {
+    scratch.clear();
+    scratch.extend(span.iter().filter(|e| e.thread == thread).map(|e| e.op));
+    scratch.sort_unstable();
+    let sorted: &[OpId] = scratch;
+    let mut out = Vec::with_capacity(sorted.chunk_by(OpId::eq).count());
+    out.extend(sorted.chunk_by(OpId::eq).map(|run| Candidate {
+        op: run[0],
+        count: run.len() as u32,
+    }));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::TraceBuilder;
+    use std::collections::BTreeMap;
+
+    /// The straightforward extractor the one-pass [`extract`] must match:
+    /// every access walks back over every earlier access to its location,
+    /// and the cap is applied after a global sort of all candidate pairs.
+    fn extract_quadratic(trace: &Trace, cfg: &WindowConfig) -> Vec<Window> {
+        let events = trace.events();
+        let loc = |op: OpId| match op.resolve() {
+            OpRef::FieldRead { class, field } | OpRef::FieldWrite { class, field } => {
+                Some(format!("{class}::{field}"))
+            }
+            OpRef::MethodBegin { .. } | OpRef::MethodEnd { .. } => None,
+        };
+        let mut groups: HashMap<(ObjectId, Option<String>), Vec<usize>> = HashMap::new();
+        for (idx, ev) in events.iter().enumerate() {
+            if ev.access != AccessClass::None {
+                groups.entry((ev.object, loc(ev.op))).or_default().push(idx);
+            }
+        }
+        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        for group in groups.values() {
+            for (gj, &j) in group.iter().enumerate() {
+                let ej = &events[j];
+                for &i in group[..gj].iter().rev() {
+                    let ei = &events[i];
+                    if ej.time - ei.time > cfg.near {
+                        break;
+                    }
+                    if ei.thread != ej.thread && ei.access.conflicts_with(ej.access) {
+                        candidates.push((i, j));
+                    }
+                }
+            }
+        }
+        candidates.sort_unstable_by_key(|&(i, j)| (j, std::cmp::Reverse(i)));
+        let mut per_pair: HashMap<(OpId, OpId), usize> = HashMap::new();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (i, j) in candidates {
+            let count = per_pair.entry((events[i].op, events[j].op)).or_insert(0);
+            if *count < cfg.cap_per_pair {
+                *count += 1;
+                pairs.push((i, j));
+            }
+        }
+        pairs.sort_unstable_by_key(|&(i, j)| (j, i));
+        let side = |thread: ThreadId, i: usize, j: usize| -> Vec<Candidate> {
+            let mut counts: BTreeMap<OpId, u32> = BTreeMap::new();
+            for ev in events[i..=j].iter().filter(|e| e.thread == thread) {
+                *counts.entry(ev.op).or_insert(0) += 1;
+            }
+            counts
+                .into_iter()
+                .map(|(op, count)| Candidate { op, count })
+                .collect()
+        };
+        pairs
+            .into_iter()
+            .map(|(i, j)| {
+                let (a, b) = (&events[i], &events[j]);
+                let release = side(a.thread, i, j);
+                let acquire = side(b.thread, i, j);
+                Window {
+                    a_op: a.op,
+                    b_op: b.op,
+                    a_thread: a.thread,
+                    b_thread: b.thread,
+                    a_time: a.time,
+                    b_time: b.time,
+                    object: a.object,
+                    release_capable: release.iter().any(|c| c.op.resolve().can_release()),
+                    acquire_capable: acquire.iter().any(|c| c.op.resolve().can_acquire()),
+                    release,
+                    acquire,
+                }
+            })
+            .collect()
+    }
+
+    /// SplitMix64, enough for seeded test traces.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A random trace over a few threads, fields, objects and per-object
+    /// library call sites, with many equal timestamps.
+    fn random_trace(seed: u64) -> Trace {
+        let mut rng = Rng(seed);
+        let threads = 2 + rng.below(3) as u32;
+        let len = 20 + rng.below(180);
+        let mut tb = TraceBuilder::new();
+        let mut t = 0;
+        for _ in 0..len {
+            // Half the events share the previous timestamp.
+            t += rng.below(2) * rng.below(40);
+            let time = Time::from_micros(t);
+            let thread = rng.below(u64::from(threads)) as u32;
+            let object = 1 + rng.below(3);
+            let field = ["x", "y", "z"][rng.below(3) as usize];
+            match rng.below(6) {
+                0 | 1 => tb.push(time, thread, r("Rnd", field), object),
+                2 => tb.push(time, thread, w("Rnd", field), object),
+                3 => {
+                    let access = if rng.below(2) == 0 {
+                        AccessClass::Read
+                    } else {
+                        AccessClass::Write
+                    };
+                    let call = ["Add", "Get"][rng.below(2) as usize];
+                    let op = OpRef::lib_begin("RndList", call).intern();
+                    tb.push_classified(time, thread, op, object, access);
+                }
+                4 => {
+                    let op = OpRef::lib_end("RndList", "Add").intern();
+                    tb.push_classified(time, thread, op, object, AccessClass::None);
+                }
+                _ => tb.push(time, thread, OpRef::app_begin("Rnd", "m").intern(), object),
+            }
+        }
+        tb.finish()
+    }
+
+    #[test]
+    fn one_pass_matches_quadratic_oracle_on_random_traces() {
+        let mut windows = 0;
+        for seed in 0..200 {
+            let trace = random_trace(seed);
+            for near in [Time::from_micros(30), Time::from_secs(1)] {
+                for cap_per_pair in [1, 3, 15] {
+                    let cfg = WindowConfig { near, cap_per_pair };
+                    let expected = extract_quadratic(&trace, &cfg);
+                    assert_eq!(
+                        extract(&trace, &cfg),
+                        expected,
+                        "seed {seed}, near {near:?}, cap {cap_per_pair}"
+                    );
+                    windows += expected.len();
+                }
+            }
+        }
+        assert!(
+            windows > 10_000,
+            "random traces formed only {windows} windows"
+        );
+    }
+
+    #[test]
+    fn spin_reads_cost_linear_time() {
+        // One field spin-read by three threads and written five times: each
+        // read scans only the earlier writes. Walking back over every earlier
+        // access instead costs ~1.25e9 steps here, over ten times the bound
+        // in a debug build.
+        const READS: u64 = 50_000;
+        let mut tb = TraceBuilder::new();
+        for k in 0..READS {
+            if k % 10_000 == 5_000 {
+                tb.push(Time::from_micros(k), 0, w("Spin", "hot"), 1);
+            }
+            tb.push(
+                Time::from_micros(k),
+                1 + (k % 3) as u32,
+                r("Spin", "hot"),
+                1,
+            );
+        }
+        let trace = tb.finish();
+        let start = std::time::Instant::now();
+        let ws = extract(&trace, &WindowConfig::default());
+        let elapsed = start.elapsed();
+        // Static pairs: (write, read) and (read, write), each capped at 15.
+        assert_eq!(ws.len(), 30);
+        assert!(
+            elapsed < std::time::Duration::from_millis(150),
+            "extracting {} events took {elapsed:?}",
+            trace.len()
+        );
+    }
 
     fn w(class: &str, field: &str) -> OpId {
         OpRef::field_write(class, field).intern()
